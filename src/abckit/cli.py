@@ -190,12 +190,19 @@ def _config_payload(cfg: ExponentConfiguration | None):
     }
 
 
-def _emit_count(result, fmt: str) -> int:
+def _emit_count(result, fmt: str, **extra) -> int:
+    """Print a CountResult on stdout; its wall time goes to stderr only, so
+    stdout stays byte-identical across runs."""
+    sys.stderr.write(
+        f"{result.query} [{result.strategy}]: "
+        f"elapsed {result.elapsed_seconds:.6f} s\n"
+    )
     payload = {
         "schema": SCHEMA,
         "query": result.query,
         "count": result.count,
         "strategy": result.strategy,
+        **extra,
     }
     if fmt == "json":
         _print_json(payload)
@@ -322,23 +329,8 @@ def _box_from_doc(doc, where: str) -> BoxSpec:
 def _cmd_count_bd(args) -> int:
     spec = _box_from_doc(_load_json_file(args.spec), args.spec)
     result = count_bd(spec, strategy=args.strategy, budget=_default_budget(args))
-    payload = {
-        "schema": SCHEMA,
-        "query": result.query,
-        "count": result.count,
-        "strategy": result.strategy,
-        "delta": format_rational(spec.delta),
-        "deviations": list(spec.deviations()),
-    }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(["query", "count", "strategy"],
-                   [[result.query, result.count, result.strategy]])
-    else:
-        _print_table(["query", "count", "strategy"],
-                     [[result.query, result.count, result.strategy]])
-    return 0
+    return _emit_count(result, args.format, delta=format_rational(spec.delta),
+                       deviations=list(spec.deviations()))
 
 
 def _cmd_count_ternary(args) -> int:
@@ -555,7 +547,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_rational, required=True)
     p.add_argument("--unordered", action="store_true",
                    help="count unordered {a, b} pairs instead of ordered (a, b)")
-    p.add_argument("--strategy", choices=["ca", "ab"], default="ca")
+    p.add_argument("--strategy", choices=["ca", "ab"], default="ca",
+                   help="ca: brute-force scan of every (c, a), about X^2/2 "
+                        "candidates; ab: enumeration by small radical, "
+                        "about 10^6 candidates at X = 10^5, lambda = 1")
     _add_budget(p)
     _add_format(p, csv_ok=True)
     p.set_defaults(func=_cmd_count_nlambda)

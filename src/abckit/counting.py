@@ -18,10 +18,11 @@ so a script can adapt instead of hanging.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, prod
+from itertools import accumulate, islice, product
+from math import gcd, isqrt, prod
 
 from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
 from .radicals import build_radical_table, factorize
@@ -194,52 +195,104 @@ def count_exceptional_triples(
     ordered: bool = True,
     strategy: str = "ca",
     budget: int | None = None,
-    table: list[int] | None = None,
 ) -> CountResult:
     """#{(a, b, c): a + b = c <= X, gcd(a, b) = 1, rad(abc) < c**lam}.
 
     The radical inequality is strict, matching the exceptional-set
     definition.  ``ordered`` counts (a, b) and (b, a) separately;
-    otherwise only a <= b.  Strategies: 'ca' walks (c, a) with a sieve
-    table; 'ab' walks (a, b) with memoized trial division.
+    otherwise only a <= b.  Strategies:
+
+    * 'ca' scans every pair (c, a) against a smallest-prime-factor sieve
+      table, X**2/2 candidates: the brute-force oracle.
+    * 'ab' enumerates by small radical, over a distinct-prime sieve.  Since
+      min(rad a, rad b)**2 <= rad a * rad b, every counted triple has a
+      member n < c with (rad(n)**2 * rad c)**q < c**p (lam = p/q), so for
+      each c only the integers of smallest radical are walked.  Its budget
+      estimate is X plus an up-front upper bound on the members walked;
+      at lam = 1 that is about 10**6 for X = 10**5.
     """
     lam = Fraction(lam)
     if X < 1 or lam < 0:
         raise ValueError("need X >= 1 and lam >= 0")
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    est = X * (X - 1) // 2 if ordered else X * X // 4 + X
-    _check_budget("count_exceptional_triples", est, budget)
     p, q = lam.numerator, lam.denominator
     t0 = time.perf_counter()
-    count = 0
     if strategy == "ca":
-        rad_of = table if table is not None else build_radical_table(X)
-        for c in range(2, X + 1):
-            cp = c**p
-            for a in range(1, c // 2 + 1 if not ordered else c):
-                b = c - a
-                if gcd(a, b) != 1:
-                    continue
-                # a, b, c pairwise coprime, so rad(abc) splits multiplicatively
-                if (rad_of[a] * rad_of[b] * rad_of[c]) ** q < cp:
-                    count += 1
+        est = X * (X - 1) // 2 if ordered else X * X // 4 + X
+        _check_budget("count_exceptional_triples", est, budget)
+        count = _exceptional_ca(X, p, q, ordered)
     else:
-        rad = _memo_radical()
-        for a in range(1, X):
-            b_start = a if not ordered else 1
-            for b in range(b_start, X - a + 1):
-                if gcd(a, b) != 1:
-                    continue
-                c = a + b
-                if rad(a * b * c) ** q < c**p:
-                    count += 1
+        count = _exceptional_ab(X, p, q, ordered, budget)
     elapsed = time.perf_counter() - t0
     query = (
         f"count_exceptional_triples(X={X}, lam={format_rational(lam)}, "
         f"ordered={ordered})"
     )
     return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
+
+
+def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
+    """Every (c, a): rad(a) * rad(b) against one integer threshold per c."""
+    rad_of = build_radical_table(X)
+    count = 0
+    for c in range(2, X + 1):
+        # R**q < c**p  <=>  R <= iroot(c**p - 1, q), and x * r <= t  <=>  x <= t // r
+        lim = iroot(c**p - 1, q) // rad_of[c]
+        hi = c if ordered else c // 2 + 1
+        # a runs up from 1 while b = c - a runs down from c - 1; a, b, c
+        # pairwise coprime, so rad(abc) splits multiplicatively
+        count += sum(
+            1
+            for a, ra, rb in zip(range(1, hi), rad_of[1:hi], rad_of[c - 1:c - hi:-1])
+            if ra * rb <= lim and gcd(a, c - a) == 1
+        )
+    return count
+
+
+def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int | None) -> int:
+    """Small-radical enumeration: for each c, the members n < c of the
+    radical classes r with (r**2 * rad c)**q < c**p, each pair {n, c - n}
+    tested from its member of smaller radical.  Two members of one class
+    r > 1 share a prime, so a tie never passes the gcd."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if X > limit:
+        # the sieve alone exceeds the budget: refuse before allocating it,
+        # with the table-free bound on sieve entries plus members walked
+        raise BudgetExceeded("count_exceptional_triples", X * (X + 1) // 2, limit)
+    # distinct-prime sieve: m is prime when no smaller prime has touched it
+    rad = [1] * (X + 1)
+    for m in range(2, X + 1):
+        if rad[m] == 1:
+            rad[m::m] = [v * m for v in rad[m::m]]
+    members: dict[int, list[int]] = {}
+    for n in range(1, X + 1):
+        members.setdefault(rad[n], []).append(n)
+    classes = sorted(members.items())  # ascending radical, members ascending
+    radicals = [r for r, _ in classes]
+    reach = list(accumulate(len(ns) for _, ns in classes))
+    # depth[c]: the number of classes c walks, those with r < c and
+    # r**2 * rad c <= iroot(c**p - 1, q)
+    depth = [0, 0] + [
+        bisect_right(radicals, min(c - 1, isqrt(iroot(c**p - 1, q) // rad[c])))
+        for c in range(2, X + 1)
+    ]
+    est = X + sum(min(c - 1, reach[k - 1]) for c, k in enumerate(depth) if k)
+    _check_budget("count_exceptional_triples", est, budget)
+    count = 0
+    for c in range(2, X + 1):
+        cp, rc = c**p, rad[c]
+        for r, ns in islice(classes, depth[c]):
+            for n in ns:
+                if n >= c:
+                    break
+                m = c - n
+                rm = rad[m]
+                if rm < r:
+                    continue  # the pair is tested from m
+                if gcd(n, m) == 1 and (r * rm * rc) ** q < cp:
+                    count += 2 if ordered and m != n else 1
+    return count
 
 
 # --- refined radical-window counts -------------------------------------------
@@ -253,7 +306,6 @@ def count_s(
     star: bool = False,
     strategy: str = "ca",
     budget: int | None = None,
-    table: list[int] | None = None,
 ) -> CountResult:
     """Coprime solutions of a + b = c with per-member radical constraints.
 
@@ -285,7 +337,7 @@ def count_s(
     count = 0
     c_lo = (X + 1) // 2 if star else 2
     if strategy == "ca":
-        rad_of = table if table is not None else build_radical_table(X)
+        rad_of = build_radical_table(X)
         for c in range(c_lo, X + 1):
             okc = window(rad_of[c], gamma) if star else plain(rad_of[c], c, gamma)
             if not okc:
@@ -332,7 +384,6 @@ def count_radical_bounded(
     *,
     strategy: str = "scan",
     budget: int | None = None,
-    table: list[int] | None = None,
 ) -> CountResult:
     """#{n <= x : rad(n) <= x**lam}, the radical-bounded integer count.
 
@@ -349,7 +400,7 @@ def count_radical_bounded(
     t0 = time.perf_counter()
     if strategy == "scan":
         _check_budget("count_radical_bounded", x, budget)
-        rad_of = table if table is not None else build_radical_table(x)
+        rad_of = build_radical_table(x)
         xp = x**p
         count = sum(1 for n in range(1, x + 1) if rad_of[n] ** q <= xp)
     else:

@@ -49,6 +49,27 @@ def test_count_nlambda_ab_strategy_agrees(capsys):
     assert doc["strategy"] == "ab"
 
 
+def test_count_nlambda_small_radical_at_1e5(capsys):
+    code = main(["count", "nlambda", "--x", "100000", "--lambda", "1",
+                 "--strategy", "ab"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["count"] == 838
+    assert "elapsed" in captured.err
+
+
+def test_count_elapsed_goes_to_stderr_only(capsys):
+    argv = ["count", "nlambda", "--x", "9", "--lambda", "9/10"]
+    main(argv)
+    first = capsys.readouterr()
+    main(argv)
+    second = capsys.readouterr()
+    assert first.out == second.out
+    assert "elapsed" not in first.out
+    assert first.err.startswith(
+        "count_exceptional_triples(X=9, lam=9/10, ordered=True) [ca]: elapsed ")
+
+
 def test_count_debruijn(capsys):
     code, doc = run_json(capsys, "count", "debruijn", "--x", "100",
                          "--lambda", "1/2")

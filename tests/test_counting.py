@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ def test_exceptional_frozen_small():
     # lam = 1 admits every coprime triple minus nothing below... at X = 2:
     # (1,1,2) has rad = 2 = 2^1, and the comparison is strict, so zero.
     assert count_exceptional_triples(2, F(1)).count == 0
+    assert count_exceptional_triples(2, F(1), strategy="ab").count == 0
 
 
 def test_exceptional_strategies_agree():
@@ -37,6 +40,96 @@ def test_exceptional_strategies_agree():
             assert a.count == b.count, (X, lam)
             u = count_exceptional_triples(X, lam, ordered=False)
             assert a.count == 2 * u.count  # diagonal is empty for lam <= 1
+
+
+def test_exceptional_strategies_agree_at_frozen_sizes():
+    # 62 and 142 ordered triples at lambda = 1 (31 and 71 unordered)
+    for X, ordered_count in ((1000, 62), (4000, 142)):
+        for ordered, want in ((True, ordered_count), (False, ordered_count // 2)):
+            for strategy in ("ca", "ab"):
+                got = count_exceptional_triples(
+                    X, F(1), ordered=ordered, strategy=strategy).count
+                assert got == want, (X, ordered, strategy)
+
+
+def test_exceptional_strategies_agree_above_one():
+    for X in (2, 10, 30, 60):
+        for lam in (F(3, 2), F(2)):
+            counts = {}
+            for ordered in (True, False):
+                a = count_exceptional_triples(X, lam, ordered=ordered, strategy="ca")
+                b = count_exceptional_triples(X, lam, ordered=ordered, strategy="ab")
+                assert a.count == b.count, (X, lam, ordered)
+                counts[ordered] = a.count
+            # for lam > 1 the diagonal triple (1, 1, 2) counts, once in
+            # either mode; every other pair counts twice when ordered
+            assert counts[True] == 2 * counts[False] - 1, (X, lam)
+
+
+def test_exceptional_small_radical_reaches_1e5():
+    # 418 abc-hits with c < 10^5 (de Smit's table) plus 19 + 99981 = 10^5,
+    # each counted as (a, b) and (b, a)
+    assert count_exceptional_triples(10**5, F(1), strategy="ab").count == 838
+
+
+def _rad(n):
+    r, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            r *= f
+            while n % f == 0:
+                n //= f
+        f += 1
+    return r * n if n > 1 else r
+
+
+def _small_radical_candidates(X, lam):
+    """Brute force: the (c, n) with n < c <= X the 'ab' walk visits."""
+    p, q = lam.numerator, lam.denominator
+    rads = [0] + [_rad(n) for n in range(1, X + 1)]
+    return sum(
+        1
+        for c in range(2, X + 1)
+        for n in range(1, c)
+        if (rads[n] ** 2 * rads[c]) ** q < c**p
+    )
+
+
+def _ab_estimate(X, lam, budget):
+    try:
+        count_exceptional_triples(X, lam, strategy="ab", budget=budget)
+    except BudgetExceeded as exc:
+        return exc.estimate
+    return None
+
+
+def test_small_radical_estimate_bounds_its_candidates():
+    for X in (50, 100, 200):
+        for lam in (F(1, 2), F(9, 10), F(1)):
+            walked = _small_radical_candidates(X, lam)
+            assert _ab_estimate(X, lam, 0) >= walked, (X, lam)
+            # budget = X admits the sieve, so the refusal carries the
+            # tight estimate: X plus the bound on members walked
+            tight = _ab_estimate(X, lam, X)
+            if tight is None:
+                assert walked == 0
+            else:
+                assert tight - X >= walked, (X, lam)
+                assert tight < X * (X - 1) // 2
+
+
+def test_small_radical_refuses_huge_x_without_allocating():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            count_exceptional_triples(10**12, F(1), strategy="ab")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1
+    assert peak < 10**6
+    assert info.value.estimate > info.value.budget
 
 
 def test_s_frozen():
