@@ -27,7 +27,12 @@ common denominator, by branch-and-bound (certified: admissible completion
 bounds, searched to exhaustion) or by full enumeration for cross-checks.
 
 For bulk search work there is a value-only fast path over integer grids
-(fast_best), tested to agree with the canonical evaluators.
+(fast_best), tested to agree with the canonical evaluators.  Given a
+floor, fast_best may stop a geometry search early: the winning method
+stays exact, and so does any value at or above the floor, while a value
+below it is only an upper bound that is itself below the floor.  A
+search for the largest value never keeps such a sample, so its result is
+unchanged.
 """
 
 from __future__ import annotations
@@ -203,7 +208,8 @@ def fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
     """(1 + delta + sum of entrywise maxima - largest high-class maximum) / 2,
     minimized over vector pairs.  The subtracted term is 0 when d < 2."""
     best, best_pair, best_m = None, None, None
-    for u, v in _ORDERED_PAIRS:
+    # symmetric in (u, v): (v, u) never beats the earlier (u, v)
+    for u, v in _UNORDERED_PAIRS:
         val, m_at = _fourier_value(cfg, u, v)
         if best is None or val < best:
             best, best_pair, best_m = val, (u, v), m_at
@@ -230,9 +236,13 @@ def extended_fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
 
 def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
     """1 + delta - u_p - v_q + min(u_p / q, v_q / p), minimized over ordered
-    vector pairs and class indices p, q."""
+    vector pairs and class indices p, q.
+
+    Swapping (u, p) with (v, q) leaves the term unchanged, so the pair (v, u)
+    repeats the values of the earlier (u, v) and only unordered pairs are
+    scanned; the first minimizer, and so the witness, is the same."""
     best, best_w = None, None
-    for u, v in _ORDERED_PAIRS:
+    for u, v in _UNORDERED_PAIRS:
         uv, vv = cfg.vector(u), cfg.vector(v)
         for p in range(1, cfg.d + 1):
             up = uv[p - 1]
@@ -298,8 +308,16 @@ def _cover_exhaustive(entries: Sequence[tuple[int, ...]], target: int):
     return best, best_masks
 
 
+class _Reached(Exception):
+    """Ends a cover search whose incumbent has reached its stop_at value."""
+
+
 def _cover_branch_bound(
-    entries: Sequence[tuple[int, ...]], target: int, *, track: bool = True
+    entries: Sequence[tuple[int, ...]],
+    target: int,
+    *,
+    track: bool = True,
+    stop_at: int | None = None,
 ):
     """Same minimum as _cover_exhaustive, by branch-and-bound.
 
@@ -308,10 +326,15 @@ def _cover_branch_bound(
     admissible completion bound cost + deficit * (min remaining w/u); the
     search runs to exhaustion, so the result is the certified optimum.
     ``track=False`` skips witness bookkeeping for bulk-search callers.
+
+    ``stop_at`` ends the search as soon as the incumbent is <= stop_at.
+    The value returned then lies between the optimum and stop_at (the
+    masks attain it); when no subset triple gets that low the search runs
+    to exhaustion and returns the optimum, as without it.
     """
     taken_masks = [0, 0, 0]
     base_cover = 0
-    items = []  # (w, u, vec_index, entry_index)
+    items = []  # (class, w, u, vec_index, entry_index)
     for vi, vec in enumerate(entries):
         for ei, v in enumerate(vec):
             if v == 0:
@@ -321,21 +344,18 @@ def _cover_branch_bound(
                 taken_masks[vi] |= 1
                 base_cover += v
             else:
-                items.append(((i - 1) * v, i * v, vi, ei))
+                items.append((i, (i - 1) * v, i * v, vi, ei))
     deficit = target - base_cover
     if deficit <= 0 or not items:
         return max(deficit, 0), tuple(taken_masks)
-    # cheapest coverage rate first; larger coverage breaks ties
-    items.sort(key=lambda t: (Fraction(t[0], t[1]), -t[1]))
+    # A class-i item costs w = (i - 1) v for u = i v of coverage: its rate
+    # w/u = (i - 1)/i grows with the class and stays below 1, the rate of
+    # leaving deficit uncovered.  So sorting by class is cheapest-rate-first
+    # (larger coverage breaks ties), and the cheapest rate among the items
+    # from k on is the rate of item k itself.
+    items.sort(key=lambda t: (t[0], -t[2]))
     n = len(items)
-    # suffix minimum of the rate w/u, as an exact pair
-    suffix_rate = [None] * n
-    rn, rd = 1, 1  # rate 1 = the cost of leaving deficit uncovered
-    for k in range(n - 1, -1, -1):
-        w, u, _, _ = items[k]
-        if w * rd < rn * u:
-            rn, rd = w, u
-        suffix_rate[k] = (rn, rd)
+    stop = -1 if stop_at is None else stop_at  # every value is >= 0
     best_cost = deficit  # take nothing beyond the free items
     best_sets: tuple[int, ...] = ()
 
@@ -345,18 +365,24 @@ def _cover_branch_bound(
             total = cost + (rem if rem > 0 else 0)
             if total < best_cost:
                 best_cost, best_sets = total, chosen
+                if total <= stop:
+                    raise _Reached
             return
-        rn, rd = suffix_rate[k]
-        if cost * rd + rem * rn >= best_cost * rd:
+        i, w, u, _, _ = items[k]
+        # cost + rem * (i - 1)/i >= best_cost, in integers
+        if cost * i + rem * (i - 1) >= best_cost * i:
             return
-        w, u, _, _ = items[k]
         dfs(k + 1, cost + w, rem - u, chosen + (k,) if track else chosen)
         dfs(k + 1, cost, rem, chosen)
 
-    dfs(0, 0, deficit, ())
+    if deficit > stop:
+        try:
+            dfs(0, 0, deficit, ())
+        except _Reached:
+            pass
     masks = list(taken_masks)
     for k in best_sets:
-        _, _, vi, ei = items[k]
+        _, _, _, vi, ei = items[k]
         masks[vi] |= 1 << ei
     return best_cost, tuple(masks)
 
@@ -575,9 +601,7 @@ def _fast_determinant(vecs, dn, scale):
     head = (scale + dn) * L
     best = None
     for ui in range(3):
-        for vi in range(3):
-            if ui == vi:
-                continue
+        for vi in range(ui + 1, 3):  # symmetric, as in determinant_bound
             u, v = vecs[ui], vecs[vi]
             for p in range(1, d + 1):
                 up = u[p - 1]
@@ -619,11 +643,56 @@ _FAST = {
 }
 
 
+def _determinant_floor(vecs, dn, scale):
+    """A lower bound on _fast_determinant in O(d): min(u_p/q, v_q/p) >= 0,
+    so every term is at least 1 + delta minus the two largest vector maxima."""
+    tops = sorted(max(v) for v in vecs)
+    return scale + dn - tops[1] - tops[2], scale
+
+
+def _geometry_below(vecs, dn, scale, names, floor, values):
+    """fast_best's early exit: (num, den, "geometry") when geometry wins and
+    some subset triple shows it below ``floor``, else None.
+
+    Every method but geometry and determinant is evaluated exactly and
+    determinant through _determinant_floor; together with the floor they
+    cap the cover value geometry may take: strictly below the methods
+    listed before it (ties go to the first listed), at most the ones after
+    it, and strictly below the floor.  The cover search stops at the first
+    subset triple under that cap.  The exact values computed on the way,
+    geometry's too when its search runs to exhaustion, are left in
+    ``values``.
+    """
+
+    def cap(num, den, strict):
+        # largest cover c with (dn + c) / scale < num / den, or <= if not strict
+        return (num * scale - strict) // den - dn
+
+    limit = cap(*floor, True)
+    after = False
+    for name in names:
+        if name == "geometry":
+            after = True
+            continue
+        if name == "determinant":
+            num, den = _determinant_floor(vecs, dn, scale)
+        else:
+            num, den = values[name] = _FAST[name](vecs, dn, scale)
+        limit = min(limit, cap(num, den, not after))
+    cover, _ = _cover_branch_bound(vecs, scale, track=False, stop_at=limit)
+    if cover <= limit:
+        return dn + cover, scale, "geometry"
+    values["geometry"] = (dn + cover, scale)
+    return None
+
+
 def fast_best(
     vecs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
     delta_num: int,
     scale: int,
     methods: Sequence[str] | None = None,
+    *,
+    floor: tuple[int, int] | None = None,
 ) -> tuple[int, int, str]:
     """Exact best bound over integer-grid entries: (numerator, denominator,
     winning method).
@@ -631,11 +700,22 @@ def fast_best(
     ``vecs`` holds the three entry vectors as numerators over ``scale``;
     ``delta_num`` is delta on the same scale.  Ties go to the method listed
     first, matching best_bound's canonical order.
+
+    ``floor = (num, den)`` is for callers that only need to know whether
+    the minimum reaches num/den.  The method name is always exact, and so
+    is the value whenever it is >= the floor.  Below the floor the value
+    may be any upper bound v on the minimum with v < floor: when geometry
+    wins, its search stops at the first subset triple that proves both.
     """
     names = METHOD_NAMES if methods is None else methods
+    values: dict[str, tuple[int, int]] = {}
+    if floor is not None and "geometry" in names:
+        hit = _geometry_below(vecs, delta_num, scale, names, floor, values)
+        if hit is not None:
+            return hit
     best = None  # (num, den, name)
     for name in names:
-        num, den = _FAST[name](vecs, delta_num, scale)
+        num, den = values.get(name) or _FAST[name](vecs, delta_num, scale)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, name)
     return best

@@ -13,7 +13,8 @@ Conventions, uniform across subcommands:
     key order, deterministic seeds)
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
     errors and budget refusals, which emit a machine-readable error object
-  * ABCKIT_BUDGET sets the default candidate budget for count commands
+  * ABCKIT_BUDGET sets the default budget for the count commands and
+    `sieve` (table entries)
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .bounds import (
 )
 from .cases import verify_case_catalog
 from .counting import (
+    DEFAULT_BUDGET,
     BoxSpec,
     BudgetExceeded,
     TernaryQuery,
@@ -224,6 +226,11 @@ def _cmd_rad(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    # about 0.17 KB per table entry: refuse before allocating any of them
+    budget = _default_budget(args)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if args.limit > budget:
+        raise BudgetExceeded("build_radical_table", args.limit, budget)
     table = build_radical_table(args.limit)
     rows = [[n, table[n]] for n in range(1, args.limit + 1)]
     if args.format == "json":
@@ -509,9 +516,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sieve", help="radical table up to a limit",
                        description="Smallest-prime-factor sieve; emits rad(n) "
-                                   "for every n up to the limit.")
+                                   "for every n up to the limit.  Each table "
+                                   "entry counts one against the budget.")
     p.add_argument("--limit", type=int, required=True)
     _add_format(p, csv_ok=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("factorize", help="prime factorization",

@@ -36,6 +36,7 @@ from .bounds import (
     METHOD_NAMES,
     ExponentConfiguration,
     best_bound,
+    extended_fourier_bound,
     fast_best,
 )
 
@@ -535,7 +536,10 @@ def _stream_task(args):
     def consider(vecs):
         nonlocal best, feasible
         feasible += 1
-        num, den, method = fast_best(vecs, dn, scale, methods)
+        # below the stream's best, fast_best may return an upper bound that
+        # is still below it; such a sample is never kept, so best is exact
+        floor = None if best is None else best[:2]
+        num, den, method = fast_best(vecs, dn, scale, methods, floor=floor)
         wins[method] = wins.get(method, 0) + 1
         if best is None:
             best = (num, den, vecs)
@@ -609,8 +613,6 @@ def _canonical_best(cfg, methods: tuple[str, ...]):
     extended = EXTENDED_METHOD in methods
     if not plain:
         # extended-fourier alone: compare directly
-        from .bounds import extended_fourier_bound
-
         return extended_fourier_bound(cfg)
     return best_bound(cfg, methods=plain, extended=extended)
 

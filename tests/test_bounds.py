@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abckit.bounds import (
+    EXTENDED_METHOD,
     ExponentConfiguration,
     SubsetSearchRefusal,
+    _cover_branch_bound,
+    _cover_exhaustive,
+    _mask_to_classes,
     best_bound,
     determinant_bound,
     evaluate_at,
@@ -310,3 +314,91 @@ def test_best_below_each_method(seed):
     best = best_bound(cfg)
     for fn in (trivial_bound, fourier_bound, geometry_bound, determinant_bound, thue_bound):
         assert best.value <= fn(cfg).value
+
+
+# --- the fast path with a floor ---
+
+_FLOOR_METHOD_LISTS = (
+    None,  # the default order
+    ("thue", "determinant", "trivial", "geometry", "fourier"),
+    ("trivial", "fourier", "geometry", "determinant", "thue", EXTENDED_METHOD),
+)
+
+
+def _grid_vecs(rng, grid):
+    """Entries on the grid: fully random, or with each total near 1/3 as in
+    the constraint region, where geometry usually wins."""
+    d = rng.randint(1, 7)
+    if rng.random() < 0.3:
+        return tuple(
+            tuple(rng.randint(0, grid // 3) for _ in range(d)) for _ in range(3)
+        )
+    out = []
+    for _ in range(3):
+        raw = [rng.choice((0, rng.randint(1, 100))) for _ in range(d)]
+        total = rng.randint(grid * 8 // 25, grid * 17 // 50)
+        out.append(tuple(r * total // (sum(raw) or 1) for r in raw))
+    return tuple(out)
+
+
+def test_fast_best_floor_contract():
+    rng = random.Random(31337)
+    below_floor = 0
+    for _ in range(500):
+        grid = rng.choice((12, 60, 3_000))  # coarse grids make ties common
+        vecs = _grid_vecs(rng, grid)
+        dn = rng.randint(0, 10)
+        for methods in _FLOOR_METHOD_LISTS:
+            exact = fast_best(vecs, dn, grid, methods)
+            value = F(exact[0], exact[1])
+            for floor in (value - F(1, 7), value, value + F(1, grid), value + F(1, 5)):
+                got = fast_best(
+                    vecs, dn, grid, methods,
+                    floor=(floor.numerator, floor.denominator),
+                )
+                assert got[2] == exact[2], (vecs, dn, methods, floor)
+                if value >= floor:
+                    assert got == exact, (vecs, dn, methods, floor)
+                else:
+                    bound = F(got[0], got[1])
+                    assert value <= bound < floor, (vecs, dn, methods)
+                    below_floor += got != exact
+                    # a floor equal to that bound is still never reached
+                    again = fast_best(
+                        vecs, dn, grid, methods,
+                        floor=(bound.numerator, bound.denominator),
+                    )
+                    assert again[2] == exact[2]
+                    assert value <= F(again[0], again[1]) < bound or again == exact
+    # the early exit is exercised, not just the exact path
+    assert below_floor > 150
+
+
+def test_cover_branch_bound_stop_at():
+    rng = random.Random(2718)
+    stopped = 0
+    for _ in range(300):
+        d = rng.randint(1, 7)
+        entries = tuple(
+            tuple(rng.choice((0, rng.randint(1, 40))) for _ in range(d))
+            for _ in range(3)
+        )
+        target = rng.randint(1, 200)
+        best, _ = _cover_branch_bound(entries, target)
+        assert best == _cover_exhaustive(entries, target)[0]
+        for stop_at in (best - 1, best, best + 1, best + 25, 10**6):
+            val, masks = _cover_branch_bound(entries, target, stop_at=stop_at)
+            assert val == best or best <= val <= stop_at
+            stopped += val != best
+            w = s = 0
+            for vec, mask in zip(entries, masks):
+                for i in _mask_to_classes(mask):
+                    w += i * vec[i - 1]
+                    s += vec[i - 1]
+            assert max(target, w) - s == val
+        # a stop the optimum cannot reach leaves the certified optimum
+        assert _cover_branch_bound(entries, target, stop_at=best - 1) == (
+            _cover_branch_bound(entries, target)
+        )
+    assert stopped > 50
+

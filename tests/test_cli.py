@@ -8,6 +8,7 @@ for the "abckit/1" schema.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,29 @@ def test_sieve_formats(capsys):
     code, out = run(capsys, "sieve", "--limit", "4", "--format", "csv")
     assert code == 0
     assert out == "n,radical\n1,1\n2,2\n3,3\n4,2\n"
+
+
+def test_sieve_budget_refusal(capsys, monkeypatch):
+    code, doc = run_json(capsys, "sieve", "--limit", "1000", "--budget", "999")
+    assert code == 2
+    err = doc["error"]
+    assert err["kind"] == "budget-exceeded"
+    assert err["operation"] == "build_radical_table"
+    assert (err["estimate"], err["budget"]) == (1000, 999)
+    code, doc = run_json(capsys, "sieve", "--limit", "8", "--budget", "8")
+    assert code == 0 and len(doc["radicals"]) == 8
+    # the default budget refuses a huge table before allocating any of it
+    tracemalloc.start()
+    try:
+        code, doc = run_json(capsys, "sieve", "--limit", str(10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and doc["error"]["kind"] == "budget-exceeded"
+    assert peak < 10**6
+    monkeypatch.setenv("ABCKIT_BUDGET", "7")
+    code, doc = run_json(capsys, "sieve", "--limit", "8")
+    assert code == 2 and doc["error"]["budget"] == 7
 
 
 def test_factorize(capsys):

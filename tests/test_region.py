@@ -150,6 +150,25 @@ def test_search_restricted_methods():
     assert rep.maximum >= F(33, 50) - F(1, 10**6)
 
 
+def test_search_report_pinned_d8():
+    rep = maximize_nu(8, MILLI, MILLI, budget=2000, seed=1)
+    assert rep.maximum == F(1705087, 3_000_000)
+    assert (rep.samples, rep.feasible) == (2217, 2048)
+    assert rep.method_wins == {"fourier": 8, "geometry": 2037, "thue": 3}
+    assert best_bound(rep.argmax).value == rep.maximum
+
+
+def test_search_report_pinned_custom_order():
+    # determinant listed before geometry, extended fourier after it
+    methods = ("thue", "determinant", "geometry", "extended-fourier")
+    rep = maximize_nu(6, MILLI, MILLI, budget=3000, seed=4, methods=methods)
+    assert rep.maximum == F(1688239, 3_000_000)
+    assert (rep.samples, rep.feasible) == (3333, 3081)
+    assert rep.method_wins == {
+        "extended-fourier": 4, "geometry": 3060, "thue": 17,
+    }
+
+
 def test_search_argument_errors():
     with pytest.raises(ValueError):
         maximize_nu(6, MILLI, MILLI, budget=0)
