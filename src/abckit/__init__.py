@@ -32,11 +32,9 @@ from .counting import (
     CountResult,
     TernaryQuery,
     box_for,
-    count_Bd,
     count_bd,
     count_exceptional_triples,
     count_radical_bounded,
-    count_S,
     count_s,
     count_ternary,
 )
@@ -98,11 +96,9 @@ __all__ = [
     "check_constraints",
     "cmp_pow",
     "corner_config",
-    "count_Bd",
     "count_bd",
     "count_exceptional_triples",
     "count_radical_bounded",
-    "count_S",
     "count_s",
     "count_ternary",
     "determinant_bound",

@@ -19,18 +19,21 @@ assign to each configuration a rational exponent:
 plus an extended fourier variant whose subtracted term pools a divisor
 class of the second vector; it never exceeds the plain fourier value.
 
-Every evaluator returns a BoundReport carrying a witness (the minimizing
-pair / subsets / indices), and evaluate_at replays the defining formula at
-a witness so reports can be audited independently.  All values are exact
-Fractions; the geometry subset search runs in integer arithmetic on a
-common denominator, by branch-and-bound (certified: admissible completion
-bounds, searched to exhaustion) or by full enumeration for cross-checks.
+Each method has one implementation: an integer core that reads the three
+vectors as numerators over a common scale (delta too) and returns the
+exact value as (numerator, denominator) with its minimizing witness (the
+pair / subsets / indices).  The public evaluators put a configuration on
+the grid of its own denominators, run the core and return a BoundReport
+with an exact Fraction; fast_best runs the same cores on a caller's grid
+for bulk search.  Two independent checks stay beside the cores:
+evaluate_at replays a defining formula at a witness in Fraction
+arithmetic, and the geometry subset search, by branch-and-bound
+(certified: admissible completion bounds, searched to exhaustion), can be
+cross-checked by full enumeration.
 
-For bulk search work there is a value-only fast path over integer grids
-(fast_best), tested to agree with the canonical evaluators.  Given a
-floor, fast_best may stop a geometry search early: the winning method
-stays exact, and so does any value at or above the floor, while a value
-below it is only an upper bound that is itself below the floor.  A
+Given a floor, fast_best may stop a geometry search early: the winning
+method stays exact, and so does any value at or above the floor, while a
+value below it is only an upper bound that is itself below the floor.  A
 search for the largest value never keeps such a sample, so its result is
 unchanged.
 """
@@ -45,15 +48,11 @@ from typing import Iterable, Sequence
 Rat = Fraction | int
 
 VECTOR_NAMES = ("a", "b", "c")
-_ORDERED_PAIRS = tuple(
-    (u, v) for u in VECTOR_NAMES for v in VECTOR_NAMES if u != v
-)
-_UNORDERED_PAIRS = (("a", "b"), ("a", "c"), ("b", "c"))
 
 METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
-DEFAULT_EXHAUSTIVE_LIMIT = 12
+EXHAUSTIVE_LIMIT = 12  # most classes geometry_bound(mode="exhaustive") takes
 
 
 class SubsetSearchRefusal(ValueError):
@@ -131,44 +130,10 @@ class ExponentConfiguration:
         """1 - (sum of all three entry sums)."""
         return self.slack("a") + self.slack("b") + self.slack("c")
 
-    # Entry-wise combinations used throughout the case analysis.
-
     @property
     def class_sums(self) -> tuple[Fraction, ...]:
         """s_i = a_i + b_i + c_i."""
         return tuple(x + y + z for x, y, z in zip(self.a, self.b, self.c))
-
-    @property
-    def max_ab(self) -> tuple[Fraction, ...]:
-        return tuple(max(x, y) for x, y in zip(self.a, self.b))
-
-    @property
-    def min_ab(self) -> tuple[Fraction, ...]:
-        return tuple(min(x, y) for x, y in zip(self.a, self.b))
-
-    @property
-    def sum_bc(self) -> tuple[Fraction, ...]:
-        return tuple(y + z for y, z in zip(self.b, self.c))
-
-    def sorted_by_third(self) -> "ExponentConfiguration":
-        """Relabel the vectors so the third entries are non-increasing.
-
-        The bound evaluators are symmetric under relabeling, so this is a
-        harmless normal form for case-by-case exploration.  Constraint
-        checking is *not* symmetric (the c vector carries its own window),
-        so never feed the relabeled configuration back into it.
-        """
-        if self.d < 3:
-            raise ValueError("sorted_by_third needs at least three classes")
-        vecs = sorted(
-            (self.vector(n) for n in VECTOR_NAMES),
-            key=lambda v: v[2],
-            reverse=True,
-        )
-        return ExponentConfiguration(
-            d=self.d, a=vecs[0], b=vecs[1], c=vecs[2],
-            delta=self.delta, epsilon=self.epsilon,
-        )
 
 
 @dataclass(frozen=True)
@@ -180,94 +145,106 @@ class BoundReport:
     witness: dict
 
 
-# --- canonical evaluators ------------------------------------------------------
+# --- integer cores -------------------------------------------------------------
+#
+# Each core takes (vecs, dn, scale): the three entry vectors as integer
+# numerators over scale, and delta as dn / scale.  It returns the exact
+# value as (numerator, denominator) and the first minimizer in scan order
+# as the witness.
 
 
-def trivial_bound(cfg: ExponentConfiguration) -> BoundReport:
-    """min over vector pairs of the two entry sums."""
-    best_pair, best = None, None
-    for u, v in _UNORDERED_PAIRS:
-        val = cfg.total(u) + cfg.total(v)
-        if best is None or val < best:
-            best, best_pair = val, (u, v)
-    return BoundReport("trivial", best, {"pair": list(best_pair)})
+def _pair(ui: int, vi: int) -> list[str]:
+    return [VECTOR_NAMES[ui], VECTOR_NAMES[vi]]
 
 
-def _fourier_value(cfg, u, v):
-    uv, vv = cfg.vector(u), cfg.vector(v)
-    series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
-    sub, m_at = Fraction(0), None
-    for m in range(2, cfg.d + 1):
-        cand = max(uv[m - 1], vv[m - 1])
-        if m_at is None or cand > sub:
-            sub, m_at = cand, m
-    return (1 + cfg.delta + series - sub) / 2, m_at
+def _trivial(vecs, dn, scale):
+    ta, tb, tc = map(sum, vecs)
+    # a tie on the value falls to the names, which sort in scan order
+    best, u, v = min((ta + tb, "a", "b"), (ta + tc, "a", "c"), (tb + tc, "b", "c"))
+    return best, scale, {"pair": [u, v]}
 
 
-def fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
-    """(1 + delta + sum of entrywise maxima - largest high-class maximum) / 2,
-    minimized over vector pairs.  The subtracted term is 0 when d < 2."""
-    best, best_pair, best_m = None, None, None
+def _fourier(vecs, dn, scale):
     # symmetric in (u, v): (v, u) never beats the earlier (u, v)
-    for u, v in _UNORDERED_PAIRS:
-        val, m_at = _fourier_value(cfg, u, v)
-        if best is None or val < best:
-            best, best_pair, best_m = val, (u, v), m_at
-    return BoundReport("fourier", best, {"pair": list(best_pair), "m": best_m})
+    d = len(vecs[0])
+    best = None
+    for ui in range(3):
+        for vi in range(ui + 1, 3):
+            u, v = vecs[ui], vecs[vi]
+            series = sub = 0
+            m_at = 2 if d > 1 else None  # the first class m >= 2 at the maximum
+            for i in range(d):
+                top = u[i] if u[i] >= v[i] else v[i]
+                series += top
+                if i and top > sub:
+                    sub, m_at = top, i + 1
+            t = scale + dn + series - sub
+            if best is None or t < best:
+                best, at = t, (ui, vi, m_at)
+    ui, vi, m_at = at
+    return best, 2 * scale, {"pair": _pair(ui, vi), "m": m_at}
 
 
-def extended_fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
-    """Fourier variant subtracting half of a pooled divisor class
-    sum_{j = 0 mod i} w_j of the second vector; never above plain fourier."""
-    best, best_pair, best_i = None, None, None
-    for u, v in _ORDERED_PAIRS:
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
-        sub, i_at = Fraction(0), None
-        for i in range(2, cfg.d + 1):
-            cand = sum((vv[j - 1] for j in range(i, cfg.d + 1, i)), Fraction(0))
-            if i_at is None or cand > sub:
-                sub, i_at = cand, i
-        val = (1 + cfg.delta + series - sub) / 2
-        if best is None or val < best:
-            best, best_pair, best_i = val, (u, v), i_at
-    return BoundReport(EXTENDED_METHOD, best, {"pair": list(best_pair), "i": best_i})
+def _extended_fourier(vecs, dn, scale):
+    d = len(vecs[0])
+    # per vector: its largest pooled divisor class, and the first i >= 2 at it
+    pooled = []
+    for v in vecs:
+        sums = [sum(v[i - 1::i]) for i in range(2, d + 1)]
+        top = max(sums, default=0)
+        pooled.append((top, sums.index(top) + 2 if sums else None))
+    best = None
+    for ui in range(3):
+        for vi in range(3):
+            if ui == vi:
+                continue
+            u, v = vecs[ui], vecs[vi]
+            series = 0
+            for i in range(d):
+                series += u[i] if u[i] >= v[i] else v[i]
+            sub, i_at = pooled[vi]
+            t = scale + dn + series - sub
+            if best is None or t < best:
+                best, witness = t, {"pair": _pair(ui, vi), "i": i_at}
+    return best, 2 * scale, witness
 
 
-def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
-    """1 + delta - u_p - v_q + min(u_p / q, v_q / p), minimized over ordered
-    vector pairs and class indices p, q.
+def _determinant(vecs, dn, scale):
+    # over scale * L, L = lcm(1..d), both u_p / q and v_q / p are integers
+    d = len(vecs[0])
+    L = lcm(*range(1, d + 1))
+    head = (scale + dn) * L
+    best = None
+    for ui in range(3):
+        for vi in range(ui + 1, 3):
+            for p, up in enumerate(vecs[ui], 1):
+                upl = up * L
+                for q, vq in enumerate(vecs[vi], 1):
+                    lo = upl // q
+                    alt = vq * L // p
+                    if alt < lo:
+                        lo = alt
+                    t = head - upl - vq * L + lo
+                    if best is None or t < best:
+                        best, at = t, (ui, vi, p, q)
+    ui, vi, p, q = at
+    return best, scale * L, {"pair": _pair(ui, vi), "p": p, "q": q}
 
-    Swapping (u, p) with (v, q) leaves the term unchanged, so the pair (v, u)
-    repeats the values of the earlier (u, v) and only unordered pairs are
-    scanned; the first minimizer, and so the witness, is the same."""
-    best, best_w = None, None
-    for u, v in _UNORDERED_PAIRS:
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        for p in range(1, cfg.d + 1):
-            up = uv[p - 1]
-            for q in range(1, cfg.d + 1):
-                vq = vv[q - 1]
-                val = 1 + cfg.delta - up - vq + min(up / q, vq / p)
-                if best is None or val < best:
-                    best, best_w = val, {"pair": [u, v], "p": p, "q": q}
-    return BoundReport("determinant", best, best_w)
 
-
-def thue_bound(cfg: ExponentConfiguration) -> BoundReport:
-    """1 + delta - (largest pooled class sum_{p | i} (u_i + v_i) over vector
-    pairs and p >= 2); just 1 + delta when d < 2."""
-    best_sub, best_w = Fraction(0), {"pair": None, "p": None}
-    for u, v in _UNORDERED_PAIRS:
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        for p in range(2, cfg.d + 1):
-            cand = sum(
-                (uv[i - 1] + vv[i - 1] for i in range(p, cfg.d + 1, p)),
-                Fraction(0),
-            )
-            if cand > best_sub:
-                best_sub, best_w = cand, {"pair": [u, v], "p": p}
-    return BoundReport("thue", 1 + cfg.delta - best_sub, best_w)
+def _thue(vecs, dn, scale):
+    d = len(vecs[0])
+    sub, at = 0, None
+    for ui in range(3):
+        for vi in range(ui + 1, 3):
+            u, v = vecs[ui], vecs[vi]
+            for p in range(2, d + 1):
+                pooled = sum(u[p - 1::p]) + sum(v[p - 1::p])
+                if pooled > sub:
+                    sub, at = pooled, (ui, vi, p)
+    if at is None:  # nothing pooled: just 1 + delta
+        return scale + dn, scale, {"pair": None, "p": None}
+    ui, vi, p = at
+    return scale + dn - sub, scale, {"pair": _pair(ui, vi), "p": p}
 
 
 # --- geometry: integer subset search ------------------------------------------
@@ -391,44 +368,115 @@ def _mask_to_classes(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _geometry(vecs, dn, scale, *, exhaustive: bool = False, track: bool = True):
+    """The geometry core; without track the witness is None."""
+    if exhaustive:
+        cover, masks = _cover_exhaustive(vecs, scale)
+    else:
+        cover, masks = _cover_branch_bound(vecs, scale, track=track)
+    witness = None
+    if track:
+        witness = {
+            key: _mask_to_classes(mask) for key, mask in zip(("I", "Ip", "Ipp"), masks)
+        }
+    return dn + cover, scale, witness
+
+
+_CORES = {
+    "trivial": _trivial,
+    "fourier": _fourier,
+    "geometry": _geometry,
+    "determinant": _determinant,
+    "thue": _thue,
+    EXTENDED_METHOD: _extended_fourier,
+}
+
+
+# --- canonical evaluators ------------------------------------------------------
+
+
+def fast_scale(cfg: ExponentConfiguration, grid: int) -> tuple:
+    """Entry numerators of cfg on the given grid, for fast_best.
+
+    Raises ValueError if any entry or delta is off-grid; callers fall back
+    to the canonical evaluators in that case.
+    """
+    out = []
+    for name in VECTOR_NAMES:
+        row = []
+        for f in cfg.vector(name):
+            n, r = divmod(f.numerator * grid, f.denominator)
+            if r:
+                raise ValueError(f"entry {f} not representable on grid {grid}")
+            row.append(n)
+        out.append(tuple(row))
+    dn, r = divmod(cfg.delta.numerator * grid, cfg.delta.denominator)
+    if r:
+        raise ValueError(f"delta {cfg.delta} not representable on grid {grid}")
+    return tuple(out), dn
+
+
+def _report(method: str, core, cfg: ExponentConfiguration, **options) -> BoundReport:
+    """Run a core on cfg's own grid, the lcm of all its denominators."""
+    scale = lcm(cfg.delta.denominator, *(f.denominator for f in cfg.a + cfg.b + cfg.c))
+    vecs, dn = fast_scale(cfg, scale)
+    num, den, witness = core(vecs, dn, scale, **options)
+    return BoundReport(method, Fraction(num, den), witness)
+
+
+def trivial_bound(cfg: ExponentConfiguration) -> BoundReport:
+    """min over vector pairs of the two entry sums."""
+    return _report("trivial", _trivial, cfg)
+
+
+def fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
+    """(1 + delta + sum of entrywise maxima - largest high-class maximum) / 2,
+    minimized over vector pairs.  The subtracted term is 0 when d < 2."""
+    return _report("fourier", _fourier, cfg)
+
+
+def extended_fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
+    """Fourier variant subtracting half of a pooled divisor class
+    sum_{j = 0 mod i} w_j of the second vector; never above plain fourier."""
+    return _report(EXTENDED_METHOD, _extended_fourier, cfg)
+
+
+def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
+    """1 + delta - u_p - v_q + min(u_p / q, v_q / p), minimized over ordered
+    vector pairs and class indices p, q.
+
+    The term is symmetric under swapping (u, p) with (v, q), so only
+    unordered pairs are scanned; the first minimizer is the same."""
+    return _report("determinant", _determinant, cfg)
+
+
+def thue_bound(cfg: ExponentConfiguration) -> BoundReport:
+    """1 + delta - (largest pooled class sum_{p | i} (u_i + v_i) over vector
+    pairs and p >= 2); just 1 + delta when d < 2."""
+    return _report("thue", _thue, cfg)
+
+
 def geometry_bound(
-    cfg: ExponentConfiguration,
-    *,
-    mode: str = "branch-and-bound",
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    cfg: ExponentConfiguration, *, mode: str = "branch-and-bound"
 ) -> BoundReport:
     """delta + min over class subsets I, I', I'' of max(1, W) - S.
 
     W weights each selected entry by its class index; S is the plain sum.
     Both modes return the certified optimum; 'exhaustive' enumerates all
-    2**(3d) subset triples and refuses when d exceeds exhaustive_limit.
+    2**(3d) subset triples and refuses when d exceeds EXHAUSTIVE_LIMIT.
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    scale = lcm(*(f.denominator for vec in (cfg.a, cfg.b, cfg.c) for f in vec), 1)
-    entries = tuple(
-        tuple(int(f * scale) for f in cfg.vector(name)) for name in VECTOR_NAMES
-    )
-    if mode == "exhaustive":
-        if cfg.d > exhaustive_limit:
-            raise SubsetSearchRefusal(
-                f"exhaustive subset search over d = {cfg.d} classes exceeds "
-                f"the limit {exhaustive_limit}"
-            )
-        val, masks = _cover_exhaustive(entries, scale)
-    else:
-        val, masks = _cover_branch_bound(entries, scale)
-    witness = {
-        "I": _mask_to_classes(masks[0]),
-        "Ip": _mask_to_classes(masks[1]),
-        "Ipp": _mask_to_classes(masks[2]),
-    }
-    return BoundReport("geometry", cfg.delta + Fraction(val, scale), witness)
+    exhaustive = mode == "exhaustive"
+    if exhaustive and cfg.d > EXHAUSTIVE_LIMIT:
+        raise SubsetSearchRefusal(
+            f"exhaustive subset search over d = {cfg.d} classes exceeds "
+            f"the limit {EXHAUSTIVE_LIMIT}"
+        )
+    return _report("geometry", _geometry, cfg, exhaustive=exhaustive)
 
 
-# --- combined bound ------------------------------------------------------------
-
-_EVALUATORS = {
+EVALUATORS = {
     "trivial": trivial_bound,
     "fourier": fourier_bound,
     "geometry": geometry_bound,
@@ -442,21 +490,19 @@ def best_bound(
     cfg: ExponentConfiguration,
     *,
     methods: Sequence[str] | None = None,
-    extended: bool = False,
     geometry_mode: str = "branch-and-bound",
 ) -> BoundReport:
-    """Minimum of the selected bounds (all five by default).
+    """Minimum of the selected bounds (the five of METHOD_NAMES by default;
+    extended-fourier may be listed too).  Ties go to the method listed first.
 
-    ``extended`` adds the extended fourier variant.  If the geometry
-    evaluator refuses (exhaustive mode over the class limit) the minimum
-    is taken over the rest and the witness is flagged geometry_skipped.
+    If the geometry evaluator refuses (exhaustive mode over the class limit)
+    the minimum is taken over the rest and the witness is flagged
+    geometry_skipped.
     """
-    names = list(METHOD_NAMES if methods is None else methods)
+    names = METHOD_NAMES if methods is None else tuple(methods)
     for name in names:
-        if name not in _EVALUATORS or name == EXTENDED_METHOD:
+        if name not in EVALUATORS:
             raise ValueError(f"unknown method {name!r}")
-    if extended:
-        names.append(EXTENDED_METHOD)
     skipped = False
     best = None
     for name in names:
@@ -467,7 +513,7 @@ def best_bound(
                 skipped = True
                 continue
         else:
-            rep = _EVALUATORS[name](cfg)
+            rep = EVALUATORS[name](cfg)
         if best is None or rep.value < best.value:
             best = rep
     if best is None:
@@ -482,7 +528,8 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
     """Replay a bound formula at a pinned witness, exactly.
 
     For the minimizing methods this reproduces BoundReport.value, which is
-    what the report-validity tests assert.
+    what the report-validity tests assert.  It shares no code with the
+    integer cores, so it checks them.
     """
     if method == "trivial":
         u, v = witness["pair"]
@@ -533,119 +580,20 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
     raise ValueError(f"unknown method {method!r}")
 
 
-# --- value-only fast path on integer grids -------------------------------------
-#
-# The search loops evaluate millions of configurations; building Fractions
-# there would dominate the runtime.  These twins take entry numerators on a
-# shared integer scale and return exact (numerator, denominator) pairs.
-# They are separate implementations on purpose, and the test suite pins
-# them against the canonical evaluators on random grid configurations.
+# --- bulk search on a caller's grid --------------------------------------------
 
 
-def _fast_trivial(vecs, dn, scale):
-    ta, tb, tc = (sum(v) for v in vecs)
-    return min(ta + tb, ta + tc, tb + tc), scale
-
-
-def _fast_fourier(vecs, dn, scale):
-    d = len(vecs[0])
-    best = None
-    for ui in range(3):
-        for vi in range(ui + 1, 3):
-            u, v = vecs[ui], vecs[vi]
-            series = 0
-            sub = 0
-            for i in range(d):
-                m = u[i] if u[i] >= v[i] else v[i]
-                series += m
-                if i >= 1 and m > sub:
-                    sub = m
-            t = scale + dn + series - sub
-            if best is None or t < best:
-                best = t
-    return best, 2 * scale
-
-
-def _fast_extended_fourier(vecs, dn, scale):
-    d = len(vecs[0])
-    best = None
-    for ui in range(3):
-        for vi in range(3):
-            if ui == vi:
-                continue
-            u, v = vecs[ui], vecs[vi]
-            series = 0
-            for i in range(d):
-                series += u[i] if u[i] >= v[i] else v[i]
-            sub = 0
-            for i in range(2, d + 1):
-                cand = 0
-                for j in range(i, d + 1, i):
-                    cand += v[j - 1]
-                if cand > sub:
-                    sub = cand
-            t = scale + dn + series - sub
-            if best is None or t < best:
-                best = t
-    return best, 2 * scale
-
-
-def _fast_geometry(vecs, dn, scale):
-    val, _ = _cover_branch_bound(vecs, scale, track=False)
-    return dn + val, scale
-
-
-def _fast_determinant(vecs, dn, scale):
-    d = len(vecs[0])
-    L = lcm(*range(1, d + 1))
-    head = (scale + dn) * L
-    best = None
-    for ui in range(3):
-        for vi in range(ui + 1, 3):  # symmetric, as in determinant_bound
-            u, v = vecs[ui], vecs[vi]
-            for p in range(1, d + 1):
-                up = u[p - 1]
-                upl = up * L
-                for q in range(1, d + 1):
-                    vq = v[q - 1]
-                    lo = upl // q
-                    alt = vq * L // p
-                    if alt < lo:
-                        lo = alt
-                    t = head - (up + vq) * L + lo
-                    if best is None or t < best:
-                        best = t
-    return best, scale * L
-
-
-def _fast_thue(vecs, dn, scale):
-    d = len(vecs[0])
-    sub = 0
-    for ui in range(3):
-        for vi in range(ui + 1, 3):
-            u, v = vecs[ui], vecs[vi]
-            for p in range(2, d + 1):
-                cand = 0
-                for i in range(p, d + 1, p):
-                    cand += u[i - 1] + v[i - 1]
-                if cand > sub:
-                    sub = cand
-    return scale + dn - sub, scale
-
-
-_FAST = {
-    "trivial": _fast_trivial,
-    "fourier": _fast_fourier,
-    "geometry": _fast_geometry,
-    "determinant": _fast_determinant,
-    "thue": _fast_thue,
-    EXTENDED_METHOD: _fast_extended_fourier,
-}
+def _run(name: str, vecs, dn, scale):
+    """A core's (num, den, witness); geometry skips its witness bookkeeping."""
+    if name == "geometry":
+        return _geometry(vecs, dn, scale, track=False)
+    return _CORES[name](vecs, dn, scale)
 
 
 def _determinant_floor(vecs, dn, scale):
-    """A lower bound on _fast_determinant in O(d): min(u_p/q, v_q/p) >= 0,
-    so every term is at least 1 + delta minus the two largest vector maxima."""
+    """A lower bound on the determinant core's value in O(d):
+    min(u_p/q, v_q/p) >= 0, so every term is at least 1 + delta minus the
+    two largest vector maxima."""
     tops = sorted(max(v) for v in vecs)
     return scale + dn - tops[1] - tops[2], scale
 
@@ -677,12 +625,12 @@ def _geometry_below(vecs, dn, scale, names, floor, values):
         if name == "determinant":
             num, den = _determinant_floor(vecs, dn, scale)
         else:
-            num, den = values[name] = _FAST[name](vecs, dn, scale)
+            num, den, _ = values[name] = _CORES[name](vecs, dn, scale)
         limit = min(limit, cap(num, den, not after))
     cover, _ = _cover_branch_bound(vecs, scale, track=False, stop_at=limit)
     if cover <= limit:
         return dn + cover, scale, "geometry"
-    values["geometry"] = (dn + cover, scale)
+    values["geometry"] = (dn + cover, scale, None)
     return None
 
 
@@ -699,7 +647,7 @@ def fast_best(
 
     ``vecs`` holds the three entry vectors as numerators over ``scale``;
     ``delta_num`` is delta on the same scale.  Ties go to the method listed
-    first, matching best_bound's canonical order.
+    first, as in best_bound, whose evaluators run the same cores.
 
     ``floor = (num, den)`` is for callers that only need to know whether
     the minimum reaches num/den.  The method name is always exact, and so
@@ -708,35 +656,14 @@ def fast_best(
     wins, its search stops at the first subset triple that proves both.
     """
     names = METHOD_NAMES if methods is None else methods
-    values: dict[str, tuple[int, int]] = {}
+    values: dict[str, tuple] = {}  # name: (num, den, witness)
     if floor is not None and "geometry" in names:
         hit = _geometry_below(vecs, delta_num, scale, names, floor, values)
         if hit is not None:
             return hit
     best = None  # (num, den, name)
     for name in names:
-        num, den = values.get(name) or _FAST[name](vecs, delta_num, scale)
+        num, den, _ = values.get(name) or _run(name, vecs, delta_num, scale)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, name)
     return best
-
-
-def fast_scale(cfg: ExponentConfiguration, grid: int) -> tuple:
-    """Entry numerators of cfg on the given grid, for fast_best.
-
-    Raises ValueError if any entry or delta is off-grid; callers fall back
-    to the canonical evaluators in that case.
-    """
-    out = []
-    for name in VECTOR_NAMES:
-        row = []
-        for f in cfg.vector(name):
-            n = f * grid
-            if n.denominator != 1:
-                raise ValueError(f"entry {f} not representable on grid {grid}")
-            row.append(n.numerator)
-        out.append(tuple(row))
-    dn = cfg.delta * grid
-    if dn.denominator != 1:
-        raise ValueError(f"delta {cfg.delta} not representable on grid {grid}")
-    return tuple(out), dn.numerator

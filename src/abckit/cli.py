@@ -24,21 +24,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .bounds import (
+    EVALUATORS,
     EXTENDED_METHOD,
     METHOD_NAMES,
     ExponentConfiguration,
     best_bound,
-    extended_fourier_bound,
-    determinant_bound,
-    fourier_bound,
-    geometry_bound,
-    thue_bound,
-    trivial_bound,
 )
-from .cases import verify_case_catalog
+from .cases import CaseCheckReport, verify_case_catalog
 from .counting import (
     DEFAULT_BUDGET,
     BoxSpec,
@@ -53,18 +49,9 @@ from .counting import (
 from .exact import format_rational, parse_rational
 from .powerfact import reduce_triple, verify_power_factorization
 from .radicals import build_radical_table, factorize, radical
-from .region import explore_theta, maximize_nu
+from .region import ThetaReport, explore_theta, maximize_nu
 
 SCHEMA = "abckit/1"
-
-_EVALUATOR = {
-    "trivial": trivial_bound,
-    "fourier": fourier_bound,
-    "geometry": geometry_bound,
-    "determinant": determinant_bound,
-    "thue": thue_bound,
-    EXTENDED_METHOD: extended_fourier_bound,
-}
 
 
 class _CliError(Exception):
@@ -127,8 +114,27 @@ def _print_table(header, rows) -> None:
         )
 
 
+# Reports whose JSON keys are not their dataclass fields in order: the
+# case report adds all_passed before its checks, and the theta report puts
+# theta_estimate before argmax (its rounds are reshaped in _jsonify).
+_KEYS = {
+    CaseCheckReport: ("delta", "epsilon", "all_passed", "checks"),
+    ThetaReport: ("d", "delta", "epsilon", "lam", "budget", "seed", "methods",
+                  "rounds", "sup", "theta_estimate", "argmax", "certified"),
+}
+
+
 def _jsonify(value):
-    """Reports to JSON: Fractions become 'p/q' strings, containers recurse."""
+    """Reports to JSON: a dataclass becomes an object of its fields in order
+    (see _KEYS), `lam` written as `lambda` and each theta round as
+    {threshold, verdict}; Fractions become 'p/q' strings; containers
+    recurse."""
+    if is_dataclass(value):
+        keys = _KEYS.get(type(value)) or [f.name for f in fields(value)]
+        doc = {key: getattr(value, key) for key in keys}
+        if isinstance(value, ThetaReport):
+            doc["rounds"] = [{"threshold": t, "verdict": v} for t, v in value.rounds]
+        return {"lambda" if k == "lam" else k: _jsonify(v) for k, v in doc.items()}
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
@@ -177,19 +183,6 @@ def _config_from_doc(doc, where: str) -> ExponentConfiguration:
     return ExponentConfiguration(
         d=d, a=vecs["a"], b=vecs["b"], c=vecs["c"], delta=delta, epsilon=epsilon
     )
-
-
-def _config_payload(cfg: ExponentConfiguration | None):
-    if cfg is None:
-        return None
-    return {
-        "d": cfg.d,
-        "a": [format_rational(x) for x in cfg.a],
-        "b": [format_rational(x) for x in cfg.b],
-        "c": [format_rational(x) for x in cfg.c],
-        "delta": format_rational(cfg.delta),
-        "epsilon": format_rational(cfg.epsilon),
-    }
 
 
 def _emit_count(result, fmt: str, **extra) -> int:
@@ -351,39 +344,22 @@ def _cmd_count_ternary(args) -> int:
     return _emit_count(result, args.format)
 
 
-def _bound_report_payload(report):
-    return {
-        "method": report.method,
-        "value": format_rational(report.value),
-        "witness": _jsonify(report.witness),
-    }
-
-
 def _cmd_bounds_eval(args) -> int:
     cfg = _config_from_doc(_load_json_file(args.config), args.config)
-    reports = []
+    names = METHOD_NAMES + ((EXTENDED_METHOD,) if args.extended_fourier else ())
     if args.method == "all":
-        for name in METHOD_NAMES:
-            reports.append(_EVALUATOR[name](cfg))
-        if args.extended_fourier:
-            reports.append(extended_fourier_bound(cfg))
-        reports.append(best_bound(cfg, extended=args.extended_fourier))
+        reports = [EVALUATORS[name](cfg) for name in names]
+        reports.append(best_bound(cfg, methods=names))
     elif args.method == "best":
-        reports.append(best_bound(cfg, extended=args.extended_fourier))
+        reports = [best_bound(cfg, methods=names)]
     else:
-        reports.append(_EVALUATOR[args.method](cfg))
-    payload = {
-        "schema": SCHEMA,
-        "config": _config_payload(cfg),
-        "reports": [_bound_report_payload(r) for r in reports],
-    }
+        reports = [EVALUATORS[args.method](cfg)]
+    payload = {"schema": SCHEMA, "config": _jsonify(cfg), "reports": _jsonify(reports)}
     if args.format == "json":
         _print_json(payload)
     else:
-        rows = [
-            [r.method, format_rational(r.value), json.dumps(_jsonify(r.witness))]
-            for r in reports
-        ]
+        rows = [[r["method"], r["value"], json.dumps(r["witness"])]
+                for r in payload["reports"]]
         _print_table(["method", "value", "witness"], rows)
     return 0
 
@@ -395,28 +371,7 @@ def _cmd_verify_region(args) -> int:
         methods=args.methods, streams=args.streams, threads=args.threads,
         grid=args.grid,
     )
-    payload = {
-        "schema": SCHEMA,
-        "d": report.d,
-        "delta": format_rational(report.delta),
-        "epsilon": format_rational(report.epsilon),
-        "lambda": format_rational(report.lam),
-        "threshold": format_rational(report.threshold),
-        "budget": report.budget,
-        "seed": report.seed,
-        "streams": report.streams,
-        "threads": report.threads,
-        "methods": list(report.methods),
-        "strategy_mix": report.strategy_mix,
-        "samples": report.samples,
-        "feasible": report.feasible,
-        "maximum": None if report.maximum is None else format_rational(report.maximum),
-        "argmax": _config_payload(report.argmax),
-        "method_wins": report.method_wins,
-        "verdict": report.verdict,
-        "outcome": report.outcome,
-        "note": report.note,
-    }
+    payload = {"schema": SCHEMA, **_jsonify(report)}
     if args.format == "json":
         _print_json(payload)
     else:
@@ -428,22 +383,7 @@ def _cmd_verify_region(args) -> int:
 
 def _cmd_verify_cases(args) -> int:
     report = verify_case_catalog(args.delta, args.epsilon)
-    payload = {
-        "schema": SCHEMA,
-        "delta": format_rational(report.delta),
-        "epsilon": format_rational(report.epsilon),
-        "all_passed": report.all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "statement": c.statement,
-                "passed": c.passed,
-                "slack": format_rational(c.slack),
-                "boundary": c.boundary,
-            }
-            for c in report.checks
-        ],
-    }
+    payload = {"schema": SCHEMA, **_jsonify(report)}
     if args.format == "json":
         _print_json(payload)
     else:
@@ -462,27 +402,7 @@ def _cmd_explore_theta(args) -> int:
         budget=args.budget, seed=args.seed, methods=args.methods,
         rounds=args.rounds, streams=args.streams, threads=args.threads,
     )
-    _print_json({
-        "schema": SCHEMA,
-        "d": report.d,
-        "delta": format_rational(report.delta),
-        "epsilon": format_rational(report.epsilon),
-        "lambda": format_rational(report.lam),
-        "budget": report.budget,
-        "seed": report.seed,
-        "methods": list(report.methods),
-        "rounds": [
-            {"threshold": format_rational(t), "verdict": v}
-            for t, v in report.rounds
-        ],
-        "sup": None if report.sup is None else format_rational(report.sup),
-        "theta_estimate": (
-            None if report.theta_estimate is None
-            else format_rational(report.theta_estimate)
-        ),
-        "argmax": _config_payload(report.argmax),
-        "certified": report.certified,
-    })
+    _print_json({"schema": SCHEMA, **_jsonify(report)})
     return 0
 
 
@@ -732,12 +652,6 @@ def main(argv=None) -> int:
             "error": {"kind": "invalid-argument", "message": str(exc)},
         })
         return 2
-
-
-# the parsed-command record is argparse's namespace, not a bespoke type
-CommandSpec = argparse.Namespace
-
-run = main
 
 
 if __name__ == "__main__":

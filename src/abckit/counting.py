@@ -586,8 +586,3 @@ def count_ternary(
         f"limits={query.limits})"
     )
     return CountResult(query=qstr, count=count, strategy=strategy, elapsed_seconds=elapsed)
-
-
-# documented operation names use S and Bd as proper nouns
-count_S = count_s
-count_Bd = count_bd

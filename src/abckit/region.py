@@ -36,7 +36,6 @@ from .bounds import (
     METHOD_NAMES,
     ExponentConfiguration,
     best_bound,
-    extended_fourier_bound,
     fast_best,
 )
 
@@ -608,15 +607,6 @@ def _resolve_methods(methods) -> tuple[str, ...]:
     return names
 
 
-def _canonical_best(cfg, methods: tuple[str, ...]):
-    plain = tuple(m for m in methods if m != EXTENDED_METHOD)
-    extended = EXTENDED_METHOD in methods
-    if not plain:
-        # extended-fourier alone: compare directly
-        return extended_fourier_bound(cfg)
-    return best_bound(cfg, methods=plain, extended=extended)
-
-
 def maximize_nu(
     d: int,
     delta: Fraction,
@@ -710,7 +700,7 @@ def maximize_nu(
         )
     num, den, vecs = best
     argmax = _to_config(vecs, win.scale, dl, ep, d)
-    maximum = _canonical_best(argmax, method_names).value
+    maximum = best_bound(argmax, methods=method_names).value
     assert maximum == F(num, den), "fast path disagrees with canonical evaluator"
     return RegionSearchReport(
         **base_kwargs, strategy_mix=mix, samples=samples, feasible=feasible,

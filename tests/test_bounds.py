@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from abckit.bounds import (
     EXTENDED_METHOD,
+    METHOD_NAMES,
     ExponentConfiguration,
     SubsetSearchRefusal,
     _cover_branch_bound,
@@ -226,10 +228,43 @@ def test_delta_monotonicity():
         assert thue_bound(bumped).value == thue_bound(cfg).value + t
 
 
-# --- fast path agreement ---
+# --- every integer core against the Fraction replay ---
+
+_PAIRS = (["a", "b"], ["a", "c"], ["b", "c"])
+_ORDERED_PAIRS = (
+    ["a", "b"], ["a", "c"], ["b", "a"], ["b", "c"], ["c", "a"], ["c", "b"])
 
 
-def test_fast_path_matches_canonical():
+def _witness_space(method, d):
+    """Every witness of a minimizing method, in the order its core scans."""
+    high = list(range(2, d + 1)) or [None]  # no subtracted class when d < 2
+    classes = range(1, d + 1)
+    if method == "trivial":
+        return [{"pair": pr} for pr in _PAIRS]
+    if method == "fourier":
+        return [{"pair": pr, "m": m} for pr in _PAIRS for m in high]
+    if method == EXTENDED_METHOD:
+        return [{"pair": pr, "i": i} for pr in _ORDERED_PAIRS for i in high]
+    if method == "determinant":
+        return [{"pair": pr, "p": p, "q": q}
+                for pr in _PAIRS for p in classes for q in classes]
+    # thue: the empty pooling, worth 1 + delta, comes first
+    return [{"pair": None, "p": None}] + [
+        {"pair": pr, "p": p} for pr in _PAIRS for p in range(2, d + 1)]
+
+
+_REPLAYED = {
+    "trivial": trivial_bound,
+    "fourier": fourier_bound,
+    EXTENDED_METHOD: extended_fourier_bound,
+    "determinant": determinant_bound,
+    "thue": thue_bound,
+}
+
+
+def _replay_configs():
+    """200 configs on the 3,000,000 grid, then 200 with mixed denominators,
+    each with the grid fast_best reads it on."""
     grid = 3_000_000
     rng = random.Random(4242)
     for _ in range(200):
@@ -240,14 +275,39 @@ def test_fast_path_matches_canonical():
                 F(rng.randint(0, grid // 3), grid) for _ in range(d)
             )
 
-        cfg = ExponentConfiguration(
+        yield ExponentConfiguration(
             d=d, a=vec(), b=vec(), c=vec(), delta=F(rng.randint(0, 3000), grid)
-        )
+        ), grid
+    rng = random.Random(4243)
+    for _ in range(200):
+        cfg = _random_cfg(rng, max_d=6)
+        yield cfg, lcm(cfg.delta.denominator,
+                       *(x.denominator for x in cfg.a + cfg.b + cfg.c))
+
+
+def test_cores_replay_to_first_minimizer():
+    for cfg, grid in _replay_configs():
+        for method, fn in _REPLAYED.items():
+            rep = fn(cfg)
+            space = _witness_space(method, cfg.d)
+            values = [evaluate_at(cfg, method, w) for w in space]
+            low = min(values)
+            assert rep.value == low, (method, cfg)
+            assert rep.witness == space[values.index(low)], (method, cfg)
         vecs, dn = fast_scale(cfg, grid)
-        num, den, method = fast_best(vecs, dn, grid)
-        rep = best_bound(cfg)
-        assert F(num, den) == rep.value
-        assert method == rep.witness["method"]
+        for methods in (None, METHOD_NAMES + (EXTENDED_METHOD,)):
+            num, den, method = fast_best(vecs, dn, grid, methods)
+            rep = best_bound(cfg, methods=methods)
+            assert (F(num, den), method) == (rep.value, rep.witness["method"])
+
+
+def test_best_bound_method_lists():
+    cfg = cfg_of([F(1, 10), F(1, 5)], [F(1, 10), F(1, 5)], [F(3, 10), F(0)])
+    alone = best_bound(cfg, methods=(EXTENDED_METHOD,))
+    assert alone.value == extended_fourier_bound(cfg).value
+    assert alone.witness["method"] == EXTENDED_METHOD
+    with pytest.raises(ValueError):
+        best_bound(cfg, methods=("trivial", "nope"))
 
 
 def test_fast_path_restricted_methods():
@@ -276,22 +336,6 @@ def test_config_accessors():
     assert cfg.slack_ab == 2 * (F(1, 3) - F(3, 10))
     assert cfg.slack_total == 1 - F(9, 10)
     assert cfg.class_sums == (F(3, 20), F(3, 4))
-    assert cfg.max_ab == (F(1, 10), F(1, 4))
-    assert cfg.min_ab == (F(1, 20), F(1, 5))
-    assert cfg.sum_bc == (F(1, 20), F(11, 20))
-
-
-def test_sorted_by_third():
-    cfg = cfg_of(
-        [F(0), F(0), F(1, 10)], [F(0), F(0), F(3, 10)], [F(0), F(0), F(1, 5)]
-    )
-    ordered = cfg.sorted_by_third()
-    assert ordered.a[2] == F(3, 10)
-    assert ordered.b[2] == F(1, 5)
-    assert ordered.c[2] == F(1, 10)
-    assert best_bound(ordered).value == best_bound(cfg).value
-    with pytest.raises(ValueError):
-        cfg_of([F(0)], [F(0)], [F(0)]).sorted_by_third()
 
 
 def test_config_validation():

@@ -7,6 +7,7 @@ for the "abckit/1" schema.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -367,3 +368,80 @@ def test_help_names_the_technique(capsys):
     with pytest.raises(SystemExit):
         main(["count", "debruijn", "--help"])
     assert "radical" in capsys.readouterr().out
+
+
+# --- golden stdout: the report bytes are pinned by their sha256 ---
+
+_TIES_CONFIG = {  # a == b, and several methods tie on pairs and indices
+    "d": 3,
+    "a": ["1/6", "1/12", "0"],
+    "b": ["1/6", "1/12", "0"],
+    "c": ["1/12", "1/12", "1/18"],
+    "delta": "1/1000",
+    "epsilon": "0",
+}
+
+_LATTICE_CONFIG = {  # a feasible d = 6 sample on the 3,000,000 grid
+    "d": 6,
+    "a": ["9401/62500", "36299/3000000", "22011/1000000", "28351/500000",
+          "347/9375", "166649/3000000"],
+    "b": ["44261/200000", "1653/250000", "12943/3000000", "18099/1000000",
+          "299/25000", "110803/1500000"],
+    "c": ["444217/3000000", "51377/3000000", "691/37500", "10173/200000",
+          "40081/3000000", "246067/3000000"],
+    "delta": "1/1000",
+    "epsilon": "1/1000",
+}
+
+_REGION = ("verify", "region", "--d", "6", "--delta", "1/1000",
+           "--epsilon", "1/1000", "--samples", "300", "--seed", "2")
+
+_GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
+    "bounds-ties-json": (
+        ("bounds", "eval", "--config", "{ties}", "--extended-fourier"),
+        0, "20876d9249554f84e83e00db23671204db627dcf4b9953af3c50862af0786386"),
+    "bounds-ties-table": (
+        ("bounds", "eval", "--config", "{ties}", "--extended-fourier",
+         "--format", "table"),
+        0, "f1ee73a4dcd7b75bfc269cf1285d0d67e692787e67358ec05d007f98fc73d1dc"),
+    "bounds-lattice-json": (
+        ("bounds", "eval", "--config", "{lattice}", "--extended-fourier"),
+        0, "0ab2fb4dff6c40490fcc3a7f5fe8eaff16fc2a2cdc5124eff7074067f2adcab0"),
+    "bounds-lattice-table": (
+        ("bounds", "eval", "--config", "{lattice}", "--extended-fourier",
+         "--format", "table"),
+        0, "4fe357124893b38b4df32df989b6514cecc849d0d07a4e190f156c176653b603"),
+    "region-json": (
+        _REGION,
+        0, "dab23b24ec7afced6d1790b2bfda76c5750a2ab8046607bec3ebf35289c25909"),
+    "region-table": (
+        _REGION + ("--format", "table"),
+        0, "a5ecfb91b76431531e6f7eba2120bf2262d1440985eb42961f94ed7151daa9b9"),
+    "region-empty-json": (
+        ("verify", "region", "--d", "2", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--samples", "10"),
+        0, "1d340a7a538a164f3ac8b7b5138fac765a843324ffc6c9ed20eceb925c8d9af7"),
+    "cases-json": (
+        ("verify", "cases"),
+        0, "81acbf100ee715dbcbaad1bb0cbe12a8cab9a654f265967d12831b4b74a552f0"),
+    "cases-table": (
+        ("verify", "cases", "--format", "table"),
+        0, "6d6ba397be6f44ad722834f473ef132c5f0c2ce4cd0e6a9819433131f72b88ba"),
+    "theta-json": (
+        ("explore", "theta", "--d", "3", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--budget", "120", "--rounds", "2",
+         "--streams", "2"),
+        0, "9948ecaf65195b7ff5b9e067ac2ed7a7cc18ca1a459f0d9127b05579170acf29"),
+}
+
+
+def test_golden_stdout(capsys, tmp_path):
+    paths = {}
+    for name, doc in (("ties", _TIES_CONFIG), ("lattice", _LATTICE_CONFIG)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    for name, (argv, want_code, want_sha) in _GOLDEN.items():
+        argv = [a.format(**paths) for a in argv]
+        code, out = run(capsys, *argv)
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, sha) == (want_code, want_sha), f"{name} printed:\n{out}"
