@@ -233,52 +233,97 @@ def _skeleton(total: int, target_w: int, lo_idx: int, hi_idx: int, d: int) -> li
     return x
 
 
-def _compose(total: int, d: int, rng: Random) -> list[int]:
-    """Uniform-ish random composition of `total` into d non-negative parts."""
-    if d == 1:
-        return [total]
-    cuts = sorted(rng.randint(0, total) for _ in range(d - 1))
-    parts, prev = [], 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(total - prev)
-    return parts
+def _randint(bits, lo: int, hi: int) -> int:
+    """Random.randint(lo, hi) drawn through `bits`, a Random's getrandbits.
+
+    The loop is CPython's _randbelow_with_getrandbits (k is the bit length
+    of the width n, not of n - 1; redraw while >= n), so a stream consumes
+    the same words and yields the same integers as randint/randrange.
+    tests/test_region.py checks the match against the running interpreter.
+    """
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty sampling range [{lo}, {hi}]")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return lo + r
 
 
-def _vector_with(total: int, w_lo: int, w_hi: int, d: int, rng: Random):
+def _vector_with(total: int, w_lo: int, w_hi: int, d: int, bits):
     """Random length-d composition of `total` whose weighted sum lands in
-    [w_lo, w_hi]; None when impossible."""
+    [w_lo, w_hi]; None when impossible.
+
+    Each attempt cuts a random share t_shape of the total into d parts at
+    d - 1 uniform cut points (a shape) and places the rest with _skeleton
+    so that the weighted sum lands in the window.
+    """
     lo = max(w_lo, total)
     hi = min(w_hi, d * total)
     if lo > hi:
         return None
     for _ in range(6):
-        t_shape = rng.randint(0, total)
-        shape = _compose(t_shape, d, rng)
-        w_shape = _weighted(shape)
+        t_shape = _randint(bits, 0, total)
+        n = t_shape + 1  # _randint(bits, 0, t_shape), inlined for the cuts
+        k = n.bit_length()
+        cuts = []
+        for _ in range(d - 1):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            cuts.append(r)
+        # the shape's parts are the gaps between the sorted cuts, and their
+        # weighted sum telescopes to d * t_shape - sum(cuts)
+        w_shape = d * t_shape - sum(cuts)
         t_skel = total - t_shape
         s_lo = max(lo - w_shape, t_skel)
         s_hi = min(hi - w_shape, d * t_skel)
         if s_lo <= s_hi:
-            skel = _skeleton(t_skel, rng.randint(s_lo, s_hi), 1, d, d)
-            return [a + b for a, b in zip(shape, skel)]
-    return _skeleton(total, rng.randint(lo, hi), 1, d, d)
+            skel = _skeleton(t_skel, _randint(bits, s_lo, s_hi), 1, d, d)
+            cuts.sort()
+            cuts.append(t_shape)
+            prev = 0
+            for i, c in enumerate(cuts):
+                skel[i] += c - prev
+                prev = c
+            return skel
+    return _skeleton(total, _randint(bits, lo, hi), 1, d, d)
 
 
-def _draw(win: _Windows, d: int, rng: Random):
+def _draw(win: _Windows, d: int, bits):
     """One feasible (a, b, c) integer-vector triple, or None."""
+    # three _randint(bits, tot_lo, tot_hi) per attempt, inlined as offsets
+    # from tot_lo; most attempts fail totals_ok, tested here on the offsets
+    lo = win.tot_lo
+    n = win.tot_hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty sampling range [{lo}, {win.tot_hi}]")
+    k = n.bit_length()
+    pair_lo = win.pair_lo - 2 * lo
+    grand_hi = win.grand_hi - 3 * lo
     for _ in range(64):
-        ta = rng.randint(win.tot_lo, win.tot_hi)
-        tb = rng.randint(win.tot_lo, win.tot_hi)
-        tc = rng.randint(win.tot_lo, win.tot_hi)
-        if not win.totals_ok(ta, tb, tc):
+        oa = bits(k)
+        while oa >= n:
+            oa = bits(k)
+        ob = bits(k)
+        while ob >= n:
+            ob = bits(k)
+        oc = bits(k)
+        while oc >= n:
+            oc = bits(k)
+        if (
+            oa + ob < pair_lo
+            or oa + oc < pair_lo
+            or ob + oc < pair_lo
+            or oa + ob + oc > grand_hi
+        ):
             continue
-        cvec = _vector_with(tc, win.wc_lo, win.w_hi, d, rng)
+        cvec = _vector_with(lo + oc, win.wc_lo, win.w_hi, d, bits)
         if cvec is None:
             continue
-        avec = _vector_with(ta, 0, win.w_hi, d, rng)
-        bvec = _vector_with(tb, 0, win.w_hi, d, rng)
+        avec = _vector_with(lo + oa, 0, win.w_hi, d, bits)
+        bvec = _vector_with(lo + ob, 0, win.w_hi, d, bits)
         if avec is None or bvec is None:
             continue
         return (tuple(avec), tuple(bvec), tuple(cvec))
@@ -299,7 +344,7 @@ def _split_three(total: int) -> tuple[int, int, int]:
     return q + (1 if r > 0 else 0), q + (1 if r > 1 else 0), q
 
 
-def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, rng: Random):
+def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
     """Feasible integer vectors with class sums s_1, s_2 hit exactly, mass
     for the remaining totals placed on indices 3..d; None when blocked."""
     if d < 3:
@@ -319,7 +364,7 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, rng: Random):
             if hi < rest_lo[vi]:
                 return None
             rest_hi.append(hi)
-        rests = [rng.randint(rest_lo[i], rest_hi[i]) for i in range(3)]
+        rests = [_randint(bits, rest_lo[i], rest_hi[i]) for i in range(3)]
         totals = [f + s + r for f, s, r in zip(firsts, seconds, rests)]
         if not win.totals_ok(*totals):
             continue
@@ -333,7 +378,7 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, rng: Random):
             if w_lo > w_hi:
                 ok = False
                 break
-            skel = _skeleton(r, rng.randint(w_lo, w_hi), 3, d, d)
+            skel = _skeleton(r, _randint(bits, w_lo, w_hi), 3, d, d)
             skel[0] += f
             skel[1] += s
             vecs.append(tuple(skel))
@@ -342,7 +387,7 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, rng: Random):
     return None
 
 
-def _corner_triples(win: _Windows, d: int, delta: Fraction, rng: Random):
+def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
     """Deterministic boundary-hugging starts: triangle-T vertices, the
     s1 + s2 capacity boundary, and third-class mass near 0.32."""
     out = []
@@ -360,7 +405,7 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, rng: Random):
             if s1u.denominator == 1 and s1u.numerator < capu.numerator:
                 targets.append((s1u.numerator, capu.numerator - s1u.numerator))
     for s1u, s2u in targets:
-        trip = _config_with_s1s2(win, d, s1u, s2u, rng)
+        trip = _config_with_s1s2(win, d, s1u, s2u, bits)
         if trip is not None:
             out.append(trip)
     # a_3 pinned at 0.32: the S1/S2 hinge
@@ -368,18 +413,18 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, rng: Random):
     if a3.denominator == 1 and d >= 3:
         a3u = a3.numerator
         for _ in range(8):
-            ta = rng.randint(max(win.tot_lo, a3u), win.tot_hi)
+            ta = _randint(bits, max(win.tot_lo, a3u), win.tot_hi)
             avec = [0] * d
             avec[2] = a3u
             avec[0] = ta - a3u
             if _weighted(avec) > win.w_hi:
                 continue
-            tb = rng.randint(win.tot_lo, win.tot_hi)
-            tc = rng.randint(win.tot_lo, win.tot_hi)
+            tb = _randint(bits, win.tot_lo, win.tot_hi)
+            tc = _randint(bits, win.tot_lo, win.tot_hi)
             if not win.totals_ok(ta, tb, tc):
                 continue
-            cvec = _vector_with(tc, win.wc_lo, win.w_hi, d, rng)
-            bvec = _vector_with(tb, 0, win.w_hi, d, rng)
+            cvec = _vector_with(tc, win.wc_lo, win.w_hi, d, bits)
+            bvec = _vector_with(tb, 0, win.w_hi, d, bits)
             if cvec is None or bvec is None:
                 continue
             out.append((tuple(avec), tuple(bvec), tuple(cvec)))
@@ -415,8 +460,8 @@ def corner_config(
     scale = lcm(win.scale, s1.denominator, s2.denominator)
     if scale != win.scale:
         win = _windows_for(d, dl, ep, scale)
-    rng = Random(seed)
-    trip = _config_with_s1s2(win, d, int(s1 * scale), int(s2 * scale), rng)
+    bits = Random(seed).getrandbits
+    trip = _config_with_s1s2(win, d, int(s1 * scale), int(s2 * scale), bits)
     if trip is None:
         return None
     cfg = _to_config(trip, scale, dl, ep, d)
@@ -452,16 +497,16 @@ def sample_feasible(
         raise ValueError("count must be >= 1")
     dl, ep = F(delta), F(epsilon)
     win = _windows_for(d, dl, ep, grid)
-    rng = Random(seed * 1_000_003 + 1)
+    bits = Random(seed * 1_000_003 + 1).getrandbits
     out: list[ExponentConfiguration] = []
     if include_corners:
-        for trip in _corner_triples(win, d, dl, rng):
+        for trip in _corner_triples(win, d, dl, bits):
             if len(out) < count:
                 out.append(_to_config(trip, win.scale, dl, ep, d))
     attempts = 0
     while len(out) < count and attempts < 60 * count:
         attempts += 1
-        trip = _draw(win, d, rng)
+        trip = _draw(win, d, bits)
         if trip is not None:
             out.append(_to_config(trip, win.scale, dl, ep, d))
     if len(out) < count:
@@ -523,7 +568,7 @@ def _hill_steps(scale: int) -> tuple[int, ...]:
 
 def _stream_task(args):
     (win, d, seed, stream, draws, climbs, methods, delta, with_corners) = args
-    rng = Random(seed * 1_000_003 + 7919 * (stream + 1))
+    bits = Random(seed * 1_000_003 + 7919 * (stream + 1)).getrandbits
     scale = win.scale
     dn = (delta * scale).numerator
     best = None  # (num, den, vecs)
@@ -548,13 +593,13 @@ def _stream_task(args):
             best = (num, den, vecs)
 
     if with_corners:
-        for trip in _corner_triples(win, d, delta, rng):
+        for trip in _corner_triples(win, d, delta, bits):
             corner_count += 1
             evaluated += 1
             consider(trip)
     for _ in range(draws):
         evaluated += 1
-        trip = _draw(win, d, rng)
+        trip = _draw(win, d, bits)
         if trip is not None:
             consider(trip)
     steps = _hill_steps(scale)
@@ -568,17 +613,17 @@ def _stream_task(args):
                 used += 1
                 evaluated += 1
                 vecs = best[2]
-                move = rng.randrange(2)
+                move = _randint(bits, 0, 1)
                 lv = [list(v) for v in vecs]
                 if move == 0:  # mass between classes inside one vector
-                    vi = rng.randrange(3)
-                    i, j = rng.randrange(d), rng.randrange(d)
+                    vi = _randint(bits, 0, 2)
+                    i, j = _randint(bits, 0, d - 1), _randint(bits, 0, d - 1)
                     m = min(step, lv[vi][i])
                     lv[vi][i] -= m
                     lv[vi][j] += m
                 else:  # mass between vectors at one class
-                    ui, vi = rng.randrange(3), rng.randrange(3)
-                    i = rng.randrange(d)
+                    ui, vi = _randint(bits, 0, 2), _randint(bits, 0, 2)
+                    i = _randint(bits, 0, d - 1)
                     m = min(step, lv[ui][i])
                     lv[ui][i] -= m
                     lv[vi][i] += m
@@ -633,6 +678,10 @@ def maximize_nu(
     threshold = F(threshold)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if streams < 1:
+        raise ValueError("streams must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     method_names = _resolve_methods(methods)
     base_kwargs = dict(
         d=d, delta=dl, epsilon=ep, lam=lam, threshold=threshold,

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import abckit
 from abckit.bounds import evaluate_at
 from abckit.cli import main
 
@@ -351,6 +356,36 @@ def test_exit_2_invalid_argument(capsys):
                          "--samples", "50")
     assert code == 2
     assert doc["error"]["kind"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "region", "--streams", "0"),
+    ("verify", "region", "--streams", "-2"),
+    ("verify", "region", "--threads", "0"),
+    ("explore", "theta", "--streams", "0"),
+    ("explore", "theta", "--threads", "-1"),
+])
+def test_exit_2_bad_streams_or_threads(capsys, argv):
+    code, doc = run_json(capsys, *argv, "--d", "6", "--delta", "1/1000",
+                         "--epsilon", "1/1000")
+    assert code == 2
+    assert doc["error"]["kind"] == "invalid-argument"
+    assert "must be >= 1" in doc["error"]["message"]
+
+
+def test_python_dash_m_entry_point(capsys):
+    code, out = run(capsys, "verify", "cases")
+    env = dict(os.environ)
+    src = str(Path(abckit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit", "verify", "cases"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_csv_rejected_where_not_flat(capsys):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from abckit.bounds import ExponentConfiguration, best_bound
 from abckit.region import (
     RegionSearchReport,
+    _randint,
     check_constraints,
     corner_config,
     explore_theta,
@@ -88,6 +91,48 @@ def test_sampler_coarse_grid():
             for entry in cfg.vector(name):
                 assert 12 % entry.denominator == 0
         assert cfg.totals == (F(1, 3), F(1, 3), F(1, 3))
+
+
+@pytest.mark.parametrize("d, count, seed, grid, digest", [
+    # corner generators, then _draw
+    (6, 200, 5, None,
+     "daee37a0d1461bd3ca03685538142e36ffec3cd6917a0809a10bb6f7f4266633"),
+    (8, 100, 3, None,
+     "ea8033e8e61c306a6e73695cfdf2a994cc3dc80a00542d615aeea13efcb5ead4"),
+    (6, 8, 2, 12,
+     "82545bcf15aeb163faa94fcf2ab3e03210cd8138baea7631940dd287737745fc"),
+])
+def test_sampler_streams_pinned(d, count, seed, grid, digest):
+    xs = sample_feasible(d, MILLI, MILLI, count, seed=seed, grid=grid)
+    assert len(xs) == count
+    assert hashlib.sha256(repr(xs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 7919, 2**40 + 1])
+def test_randint_is_randoms_randint(seed):
+    # the sampler's streams equal random.Random's only while CPython's
+    # randrange keeps its getrandbits rejection loop; this fails first if not
+    widths = (1, 2, 3, 4, 7, 8, 9, 2**31, 2**32, 2**32 + 1, 2**40 + 3,
+              64_501)  # the last: the d = 6 totals window at delta = eps = 1/1000
+    ours, ref = Random(seed), Random(seed)
+    for width in widths:
+        for lo in (0, -3, 957_000):
+            for _ in range(25):
+                got = _randint(ours.getrandbits, lo, lo + width - 1)
+                assert got == ref.randint(lo, lo + width - 1), (width, lo)
+                assert ours.getstate() == ref.getstate(), (width, lo)
+
+
+def test_empty_sampling_range_is_refused():
+    # an empty range must raise, not spin in the rejection loop
+    bits = Random(0).getrandbits
+    with pytest.raises(ValueError):
+        _randint(bits, 5, 4)
+    # at epsilon 1/20 the C4 totals window [0.32, 0.315] is empty
+    with pytest.raises(ValueError):
+        sample_feasible(6, F(0), F(1, 20), 5, seed=1, include_corners=False)
+    with pytest.raises(ValueError):
+        maximize_nu(6, F(0), F(1, 20), budget=50)
 
 
 def test_sampler_argument_errors():
@@ -176,6 +221,13 @@ def test_search_argument_errors():
         maximize_nu(6, MILLI, MILLI, budget=10, methods=("nope",))
     with pytest.raises(ValueError):
         maximize_nu(6, MILLI, MILLI, budget=10, grid=12)  # delta off-lattice
+    for bad in (dict(streams=0), dict(streams=-2), dict(threads=0),
+                dict(threads=-1)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            maximize_nu(6, MILLI, MILLI, budget=10, **bad)
+        # refused before the empty-region shortcut too
+        with pytest.raises(ValueError, match="must be >= 1"):
+            maximize_nu(2, MILLI, MILLI, budget=10, **bad)
 
 
 def test_theta_exploration():
