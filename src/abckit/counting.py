@@ -25,22 +25,9 @@ from itertools import accumulate, islice, product
 from math import gcd, isqrt, prod
 
 from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
-from .radicals import build_radical_table, factorize
+from .radicals import BudgetExceeded, build_radical_table, factorize
 
 DEFAULT_BUDGET = 10**9
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would evaluate more candidates than allowed."""
-
-    def __init__(self, operation: str, estimate: int, budget: int):
-        self.operation = operation
-        self.estimate = estimate
-        self.budget = budget
-        super().__init__(
-            f"{operation}: estimated {estimate} candidate evaluations "
-            f"exceeds budget {budget}"
-        )
 
 
 @dataclass(frozen=True)
@@ -203,7 +190,10 @@ def count_exceptional_triples(
     otherwise only a <= b.  Strategies:
 
     * 'ca' scans every pair (c, a) against a smallest-prime-factor sieve
-      table, X**2/2 candidates: the brute-force oracle.
+      table, X**2/2 candidates: the brute-force oracle.  It skips only
+      the rows c whose exact threshold is empty (c**lam <= rad c, e.g.
+      every squarefree c at lam <= 1), where no pair can pass since
+      rad a * rad b >= 1; every other row is scanned in full.
     * 'ab' enumerates by small radical, over a distinct-prime sieve.  Since
       min(rad a, rad b)**2 <= rad a * rad b, every counted triple has a
       member n < c with (rad(n)**2 * rad c)**q < c**p (lam = p/q), so for
@@ -239,6 +229,8 @@ def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
     for c in range(2, X + 1):
         # R**q < c**p  <=>  R <= iroot(c**p - 1, q), and x * r <= t  <=>  x <= t // r
         lim = iroot(c**p - 1, q) // rad_of[c]
+        if lim == 0:
+            continue
         hi = c if ordered else c // 2 + 1
         # a runs up from 1 while b = c - a runs down from c - 1; a, b, c
         # pairwise coprime, so rad(abc) splits multiplicatively

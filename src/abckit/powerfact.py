@@ -18,13 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import pow_leq
 from .radicals import factorize, radical
 
 
 @dataclass(frozen=True)
 class PowerFactorization:
-    """Result of power_factorize: n = c * prod(parts[j-1]**j, j=1..M)."""
+    """Result of power_factorize: n = c * prod(x**j for j, x in nontrivial).
+
+    Only the parts larger than 1 are stored, as ascending (j, x_j) pairs;
+    every other x_j with 1 <= j <= M is 1.  M = floor(10/eps^2) reaches
+    2.5*10**8 at eps = 1/5000, while a number has few exponent classes.
+    """
 
     n: int
     X: int
@@ -32,18 +36,21 @@ class PowerFactorization:
     K: int
     M: int
     c: int
-    parts: tuple[int, ...]
+    nontrivial: tuple[tuple[int, int], ...]
 
     def part(self, j: int) -> int:
         """x_j for 1 <= j <= M."""
         if not 1 <= j <= self.M:
             raise IndexError(f"part index {j} outside 1..{self.M}")
-        return self.parts[j - 1]
+        for i, x in self.nontrivial:
+            if i == j:
+                return x
+        return 1
 
     @property
     def nontrivial_parts(self) -> dict[int, int]:
         """{j: x_j} restricted to parts larger than 1."""
-        return {j: x for j, x in enumerate(self.parts, start=1) if x != 1}
+        return dict(self.nontrivial)
 
 
 @dataclass(frozen=True)
@@ -97,20 +104,24 @@ def power_factorize(n: int, X: int, epsilon: Fraction) -> PowerFactorization:
     Requires 1 <= n <= X and epsilon in (0, 1/2].
     """
     eps = Fraction(epsilon)
-    if not 0 < eps <= Fraction(1, 2):
+    p, q = eps.numerator, eps.denominator
+    if not 0 < 2 * p <= q:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {eps}")
     if not 1 <= n <= X:
         raise ValueError(f"need 1 <= n <= X, got n={n}, X={X}")
-    K = 2 * -((-eps.denominator) // eps.numerator)  # 2 * ceil(1/eps)
-    M = (10 * eps.denominator**2) // eps.numerator**2  # floor(10/eps^2)
-    classes = _class_products(n)
-    parts = [classes.get(j, 1) for j in range(1, M + 1)]
+    K = 2 * -(-q // p)  # 2 * ceil(1/eps)
+    M = 10 * q * q // (p * p)  # floor(10/eps^2)
+    parts: dict[int, int] = {}
     c = 1
-    for m, y in classes.items():
-        if m > M:
-            parts[K - 1] *= y ** (m // K)
+    for m, y in _class_products(n).items():
+        if m <= M:
+            parts[m] = parts.get(m, 1) * y
+        else:  # m > M >= K, so the folded power y**(m // K) exceeds 1
+            parts[K] = parts.get(K, 1) * y ** (m // K)
             c *= y ** (m % K)
-    return PowerFactorization(n=n, X=X, epsilon=eps, K=K, M=M, c=c, parts=tuple(parts))
+    return PowerFactorization(
+        n=n, X=X, epsilon=eps, K=K, M=M, c=c, nontrivial=tuple(sorted(parts.items()))
+    )
 
 
 def verify_power_factorization(pf: PowerFactorization) -> CheckResult:
@@ -119,29 +130,34 @@ def verify_power_factorization(pf: PowerFactorization) -> CheckResult:
     Checks: reconstruction, pairwise coprimality of the parts, the
     X**(eps/2) ceilings on c and x_K, and the two-sided radical bracket
     X**(-eps) * prod(x_j) <= rad(n) <= X**(eps) * prod(x_j).
-    All power comparisons clear denominators (never floats).
+    Only the stored parts are walked: the parts equal to 1 change no
+    product and no gcd.  All power comparisons are integer comparisons
+    against X**p, with eps = p/q (never floats).  rad(n) is factorized
+    afresh, never read off the parts under audit.
     """
     failures = []
     p, q = pf.epsilon.numerator, pf.epsilon.denominator
-    if pf.c * prod(x**j for j, x in enumerate(pf.parts, start=1)) != pf.n:
+    if pf.c * prod(x**j for j, x in pf.nontrivial) != pf.n:
         failures.append("reconstruction: c * prod(x_j^j) != n")
-    nontrivial = [x for x in pf.parts if x != 1]
-    for i in range(len(nontrivial)):
-        for k in range(i + 1, len(nontrivial)):
-            if gcd(nontrivial[i], nontrivial[k]) != 1:
-                failures.append(
-                    f"coprimality: gcd({nontrivial[i]}, {nontrivial[k]}) > 1"
-                )
-    if not pow_leq(pf.c, 2 * q, pf.X, p):  # c <= X^(eps/2)
+    xs = [x for _, x in pf.nontrivial]
+    for i in range(len(xs)):
+        for k in range(i + 1, len(xs)):
+            if gcd(xs[i], xs[k]) != 1:
+                failures.append(f"coprimality: gcd({xs[i]}, {xs[k]}) > 1")
+    Xp = pf.X**p
+    if pf.c ** (2 * q) > Xp:  # c <= X^(eps/2)
         failures.append("coefficient bound: c^(2q) > X^p")
-    if not pow_leq(pf.part(pf.K), 2 * q, pf.X, p):  # x_K <= X^(eps/2)
+    if pf.part(pf.K) ** (2 * q) > Xp:  # x_K <= X^(eps/2)
         failures.append("folded part bound: x_K^(2q) > X^p")
     r = radical(pf.n)
-    w = prod(pf.parts)
-    if not pow_leq(w, q, r**q * pf.X**p, 1):  # prod(x_j) <= rad(n) * X^eps
-        failures.append("radical bracket: prod(x_j) > rad(n) * X^eps")
-    if not pow_leq(r, q, w**q * pf.X**p, 1):  # rad(n) <= prod(x_j) * X^eps
-        failures.append("radical bracket: rad(n) > prod(x_j) * X^eps")
+    w = prod(xs)
+    # equal products pass both brackets when X^p >= 1, and are the rule
+    # unless a class folds; skipping them spares powers of q*log2(r) bits
+    if w != r or Xp < 1:
+        if w**q > r**q * Xp:  # prod(x_j) <= rad(n) * X^eps
+            failures.append("radical bracket: prod(x_j) > rad(n) * X^eps")
+        if r**q > w**q * Xp:  # rad(n) <= prod(x_j) * X^eps
+            failures.append("radical bracket: rad(n) > prod(x_j) * X^eps")
     return CheckResult(ok=not failures, failures=tuple(failures))
 
 

@@ -4,7 +4,9 @@ The radical rad(n) is the product of the distinct primes dividing n, with
 rad(1) = 1.  Everything here is exact: bulk work goes through a
 smallest-prime-factor sieve, and out-of-table arguments are fully factored
 with trial division plus deterministic primality testing.  No probabilistic
-shortcut is ever allowed to decide a count.
+shortcut is ever allowed to decide a count: above the proven Miller-Rabin
+bound a prime cannot be certified here, so factorize refuses with
+BudgetExceeded rather than search for ever.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_CAP = 10_000  # trial-divide this far before switching to rho
 
+# rho iterations one split may spend; composites below 10**18 with three
+# prime factors above the trial cap split within about 2**16
+_RHO_CAP = 1 << 22
+
 # wheel mod 30: gaps between candidates coprime to 2, 3, 5
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
@@ -25,47 +31,61 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 RadicalTable = list[int]
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised when an operation would do more work than allowed."""
+
+    def __init__(self, operation: str, estimate: int, budget: int):
+        self.operation = operation
+        self.estimate = estimate
+        self.budget = budget
+        super().__init__(
+            f"{operation}: estimated {estimate} candidate evaluations "
+            f"exceeds budget {budget}"
+        )
+
+
 def build_radical_table(limit: int) -> RadicalTable:
     """Table rad_of[n] = rad(n) for 0 <= n <= limit (rad_of[0] = 0).
 
     Runs a smallest-prime-factor sieve, then applies the recurrence
-    rad(n) = p * rad(n / p^v) with p = spf(n) and p^v || n.
+    rad(n) = rad(n / p) if p divides n / p, else p * rad(n / p),
+    with p = spf(n).
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    root = isqrt(limit)
+    unmarked = bytearray([1]) * (root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if unmarked[p]:
+            primes.append(p)
+            unmarked[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+    # every composite m <= limit has spf(m)**2 <= m; writing the multiples
+    # m >= p*p of each prime, largest prime first, leaves the smallest
     spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    for p in reversed(primes):
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
     rad = [0] * (limit + 1)
     if limit >= 1:
         rad[1] = 1
     for n in range(2, limit + 1):
         p = spf[n]
         m = n // p
-        while m % p == 0:
-            m //= p
-        rad[n] = rad[m] * p
+        rad[n] = rad[m] if m % p == 0 else rad[m] * p
     return rad
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin below the proven bound,
-    trial division above it -- slow but never wrong)."""
+    """Deterministic primality test: Miller-Rabin on the 13 bases, a proof
+    below _MR_LIMIT.  Above it a witness still proves n composite, but a
+    number that passes every base is only a probable prime, and is
+    refused with BudgetExceeded (its proof would need trial division to
+    sqrt(n))."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:  # pragma: no cover - astronomically large inputs
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -81,6 +101,8 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise BudgetExceeded("factorize", isqrt(n), _RHO_CAP)
     return True
 
 
@@ -89,13 +111,19 @@ def _rho_factor(n: int) -> int:
 
     Deterministic: polynomial offsets are tried in a fixed order, and the
     returned value is verified by gcd, so the answer is always a true factor.
+    Refuses with BudgetExceeded before its iterations would pass _RHO_CAP.
     """
     if n % 2 == 0:
         return 2
+    spent = 0
     for c in range(1, n):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            # one round steps y 2r times (r to catch up, r in blocks of m)
+            spent += 2 * r
+            if spent > _RHO_CAP:
+                raise BudgetExceeded("factorize", spent, _RHO_CAP)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -119,7 +147,12 @@ def _rho_factor(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Exact prime factorization {p: exponent} of n >= 1."""
+    """Exact prime factorization {p: exponent} of n >= 1.
+
+    Raises BudgetExceeded when a factor above 3.3 * 10**24 is a probable
+    prime that cannot be proven here, or when rho needs more than
+    _RHO_CAP iterations to split a cofactor.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
@@ -134,8 +167,13 @@ def factorize(n: int) -> dict[int, int]:
             n //= f
         f += _WHEEL[i]
         i = (i + 1) % 8
-    # remaining cofactor is 1, prime, or built from primes beyond the cap
-    stack = [n] if n > 1 else []
+    # every prime below f is divided out, so a cofactor below f*f is 1 or
+    # prime; a larger one is built from primes beyond the cap
+    if n < f * f:
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

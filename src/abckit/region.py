@@ -38,6 +38,7 @@ from .bounds import (
     best_bound,
     fast_best,
 )
+from .exact import format_rational
 
 F = Fraction
 
@@ -688,23 +689,29 @@ def maximize_nu(
         budget=budget, seed=seed, streams=streams, threads=threads,
         methods=method_names,
     )
+
+    def empty(reason: str) -> RegionSearchReport:
+        return RegionSearchReport(
+            **base_kwargs,
+            strategy_mix={"draws": 0, "hill": 0, "corners": 0},
+            samples=0, feasible=0, maximum=None, argmax=None,
+            method_wins={}, verdict=True, outcome="region-empty",
+            note=f"region empty at d={d}: {reason}; nothing to search",
+        )
+
     if d < 3:
         if not _provably_empty(d, dl, ep):
             raise ValueError(
                 "d < 3 is only supported where the weighted-capacity "
                 "argument proves the region empty; these slacks are too large"
             )
-        return RegionSearchReport(
-            **base_kwargs,
-            strategy_mix={"draws": 0, "hill": 0, "corners": 0},
-            samples=0, feasible=0, maximum=None, argmax=None,
-            method_wins={}, verdict=True, outcome="region-empty",
-            note=f"region empty at d={d}: the weighted c-sum cannot reach "
-            f"1 - eps^2; nothing to search",
-        )
+        return empty("the weighted c-sum cannot reach 1 - eps^2")
     win = _windows_for(d, dl, ep, grid)
     if (dl * win.scale).denominator != 1:
         raise ValueError("grid does not contain delta; pick a finer lattice")
+    if win.tot_lo > win.tot_hi:
+        lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
+        return empty(f"the C4 totals window [{lo}, {hi}] is empty")
     climbs_total = int(budget * _HILL_FRACTION)
     per_draw = [budget // streams] * streams
     per_draw[0] += budget % streams
@@ -795,13 +802,17 @@ def explore_theta(
     """Bisect candidate thresholds over [0.66 - eps^2, 1], run maximize_nu
     at each, and report the empirical sup of best_bound across all rounds
     (the natural theta estimate).  Flagged non-certified by construction."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     dl, ep, lam = F(delta), F(epsilon), F(lam)
     method_names = _resolve_methods(methods)
     lo, hi = PAIR_LOW - ep * ep, F(1)
     sup = None
     argmax = None
     history: list[tuple[Fraction, bool]] = []
-    per_round = max(1, budget // max(1, rounds))
+    per_round = max(1, budget // rounds)
     for r in range(rounds):
         mid = (lo + hi) / 2
         rep = maximize_nu(

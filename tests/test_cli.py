@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -289,6 +290,49 @@ def test_explore_theta(capsys):
     assert Fraction(doc["sup"]) == Fraction(doc["theta_estimate"])
 
 
+def test_reduce_triple_tiny_epsilon_is_sparse(capsys):
+    # epsilon 1/50 factorizes each member at 1/5000: M = 2.5 * 10^8 classes
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "reduce-triple", "--a", "1", "--b", "8",
+                         "--c", "9", "--x", "10", "--epsilon", "1/50")
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0
+    assert doc["checks_ok"] is True
+    assert doc["d"] == 250_000_000
+    assert doc["factorizations"]["c"] == {
+        "K": 10_000, "M": 250_000_000, "leftover": 1, "parts": {"2": 3}}
+    assert elapsed < 1
+    assert peak < 2_000_000
+    # at 1/(2 * 10^10) a radical-bracket power would hold 2 * 10^10 bits
+    code, doc = run_json(capsys, "reduce-triple", "--a", "1", "--b", "8",
+                         "--c", "9", "--x", "10", "--epsilon", "1/100000")
+    assert code == 0
+    assert doc["checks_ok"] is True
+    assert doc["d"] == 4 * 10**21
+
+
+def test_factorize_large_prime_is_refused(capsys):
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "factorize", str(2**89 - 1))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert doc["error"]["kind"] == "budget-exceeded"
+    assert doc["error"]["operation"] == "factorize"
+
+
+def test_empty_totals_window_reports_region_empty(capsys):
+    # at epsilon 1/20 the C4 totals window [0.32, 0.34 - 0.025] is empty
+    code, doc = run_json(capsys, "verify", "region", "--d", "6",
+                         "--delta", "0", "--epsilon", "1/20")
+    assert code == 0
+    assert doc["outcome"] == "region-empty"
+    assert "[8/25, 63/200]" in doc["note"]
+    assert (doc["samples"], doc["maximum"], doc["verdict"]) == (0, None, True)
+
+
 def test_exit_2_decimal_rational(capsys):
     code, doc = run_json(capsys, "count", "nlambda", "--x", "9",
                          "--lambda", "0.9")
@@ -364,6 +408,9 @@ def test_exit_2_invalid_argument(capsys):
     ("verify", "region", "--threads", "0"),
     ("explore", "theta", "--streams", "0"),
     ("explore", "theta", "--threads", "-1"),
+    ("explore", "theta", "--rounds", "0"),
+    ("explore", "theta", "--rounds", "-3"),
+    ("explore", "theta", "--budget", "0"),
 ])
 def test_exit_2_bad_streams_or_threads(capsys, argv):
     code, doc = run_json(capsys, *argv, "--d", "6", "--delta", "1/1000",

@@ -66,6 +66,18 @@ def test_exceptional_strategies_agree_above_one():
             assert counts[True] == 2 * counts[False] - 1, (X, lam)
 
 
+def test_ca_empty_row_skip_agrees_with_small_radical():
+    # 'ca' skips each row c with c**lam <= rad c; 'ab' never reads that
+    # threshold.  At lam in {3/2, 2} the row c = 2 has threshold 1, and
+    # its only pair, the diagonal (1, 1, 2), passes.
+    for X in (1, 2, 3, 9, 200, 1000):
+        for lam in (F(0), F(1, 2), F(9, 10), F(1), F(3, 2), F(2)):
+            for ordered in (True, False):
+                ca = count_exceptional_triples(X, lam, ordered=ordered, strategy="ca")
+                ab = count_exceptional_triples(X, lam, ordered=ordered, strategy="ab")
+                assert ca.count == ab.count, (X, lam, ordered)
+
+
 def test_exceptional_small_radical_reaches_1e5():
     # 418 abc-hits with c < 10^5 (de Smit's table) plus 19 + 99981 = 10^5,
     # each counted as (a, b) and (b, a)

@@ -1,10 +1,18 @@
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abckit.radicals import build_radical_table, factorize, is_squarefree, radical
+from abckit import counting, radicals
+from abckit.radicals import (
+    BudgetExceeded,
+    build_radical_table,
+    factorize,
+    is_squarefree,
+    radical,
+)
 
 
 def naive_radical(n):
@@ -30,10 +38,11 @@ def test_radical_small_frozen():
 
 
 def test_table_matches_oracle():
-    table = build_radical_table(10_000)
-    assert table[0] == 0 and table[1] == 1
-    for n in range(1, 10_001):
-        assert table[n] == naive_radical(n)
+    # tiny limits, and limits around prime squares, where the sieve's
+    # slices start
+    for limit in (0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 121, 10_000):
+        want = [0] + [naive_radical(n) for n in range(1, limit + 1)]
+        assert build_radical_table(limit) == want, limit
 
 
 def test_radical_uses_table_and_falls_back():
@@ -59,6 +68,35 @@ def test_factorize_large_prime():
     m61 = 2**61 - 1
     assert factorize(m61) == {m61: 1}
     assert radical(m61 * 4) == 2 * m61
+
+
+def test_factorize_refuses_unproven_large_prime():
+    # 2^89 - 1 is prime and above the proven Miller-Rabin bound: no proof
+    # is available here, so it is refused, and at once
+    m89 = 2**89 - 1
+    assert m89 > radicals._MR_LIMIT
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        factorize(m89)
+    assert time.perf_counter() - t0 < 1
+    assert info.value.operation == "factorize"
+    assert info.value.estimate > info.value.budget
+    with pytest.raises(BudgetExceeded):
+        radical(4 * m89)
+    assert counting.BudgetExceeded is BudgetExceeded
+    # a composite above the bound is still split: a witness is a proof,
+    # and its factors fall below the bound
+    m61, p, q = 2**61 - 1, 1_000_003, 1_000_033
+    assert m61 * p * q > radicals._MR_LIMIT
+    assert factorize(m61 * p * q) == {p: 1, q: 1, m61: 1}
+
+
+def test_rho_iteration_cap(monkeypatch):
+    p, q = 1_000_003, 1_000_033
+    monkeypatch.setattr(radicals, "_RHO_CAP", 64)
+    with pytest.raises(BudgetExceeded) as info:
+        factorize(p * q)
+    assert info.value.budget == 64 < info.value.estimate
 
 
 def test_domain_errors():

@@ -131,8 +131,10 @@ def test_empty_sampling_range_is_refused():
     # at epsilon 1/20 the C4 totals window [0.32, 0.315] is empty
     with pytest.raises(ValueError):
         sample_feasible(6, F(0), F(1, 20), 5, seed=1, include_corners=False)
-    with pytest.raises(ValueError):
-        maximize_nu(6, F(0), F(1, 20), budget=50)
+    # the search reports that window as an empty region instead
+    rep = maximize_nu(6, F(0), F(1, 20), budget=50)
+    assert (rep.outcome, rep.samples, rep.maximum) == ("region-empty", 0, None)
+    assert "C4 totals window [8/25, 63/200] is empty" in rep.note
 
 
 def test_sampler_argument_errors():
