@@ -27,9 +27,19 @@ the grid of its own denominators, run the core and return a BoundReport
 with an exact Fraction; fast_best runs the same cores on a caller's grid
 for bulk search.  Two independent checks stay beside the cores:
 evaluate_at replays a defining formula at a witness in Fraction
-arithmetic, and the geometry subset search, by branch-and-bound
-(certified: admissible completion bounds, searched to exhaustion), can be
+arithmetic, and the geometry subset search, by branch-and-bound, can be
 cross-checked by full enumeration.
+
+The geometry search covers the deficit that the free class-1 entries
+leave with items of rate (i - 1)/i, in rate order.  Its completion bound
+is the lesser of the cheapest single remaining item that overshoots the
+deficit and the fractional fill of the deficit by the items that do not,
+any rest left uncovered at rate 1 (Dantzig's fractional knapsack bound);
+every comparison is in integers.  The bound is admissible and the search
+runs to exhaustion, so the value is the certified optimum.  A pruned
+subtree holds no leaf below the incumbent, so the search records the
+same leaves, in the same order, under any admissible bound: the witness
+and every stop_at result are those of the plain search-order enumeration.
 
 Given a floor, fast_best may stop a geometry search early: the winning
 method stays exact, and so does any value at or above the floor, while a
@@ -299,15 +309,36 @@ def _cover_branch_bound(
     """Same minimum as _cover_exhaustive, by branch-and-bound.
 
     Items with class 1 cost nothing and only help coverage, so they are
-    all taken.  Remaining items are searched cheapest-rate-first with the
-    admissible completion bound cost + deficit * (min remaining w/u); the
-    search runs to exhaustion, so the result is the certified optimum.
-    ``track=False`` skips witness bookkeeping for bulk-search callers.
+    all taken.  A class-i item of entry v costs w = (i - 1) v and covers
+    u = i v.  The others are searched depth first in rate order (class,
+    then larger coverage first), taking an item before skipping it; a
+    node whose deficit rem is covered (rem <= 0) or whose items have run
+    out is a leaf worth cost + max(rem, 0).
+
+    Every completion of a node with cost C and deficit rem > 0 either
+    takes some remaining item with u >= rem, and costs at least C plus
+    that item's w, or takes only items with u < rem, and costs at least
+    C plus their fractional fill of rem in rate order, with any rest left
+    uncovered at rate 1 (Dantzig's bound for the fractional knapsack).  A
+    node is pruned when both are >= the incumbent, compared in integers.
+    The cheaper bound C + rem * (i - 1)/i, at the class i of the node's
+    first item, is at most both and is tested first; the O(n) scan joins
+    it only once the search has passed 4n nodes, so small searches pay
+    nothing for it.  The search runs to exhaustion, so the result is the
+    certified optimum.  ``track=False`` skips witness bookkeeping for
+    bulk-search callers.
+
+    A new incumbent needs a leaf strictly below the current one, and a
+    pruned subtree holds none, so every admissible bound visits the same
+    record leaves in the same order: the first optimum in search order
+    and its masks do not depend on which bound prunes.
 
     ``stop_at`` ends the search as soon as the incumbent is <= stop_at.
     The value returned then lies between the optimum and stop_at (the
     masks attain it); when no subset triple gets that low the search runs
-    to exhaustion and returns the optimum, as without it.
+    to exhaustion and returns the optimum, as without it.  Either way it
+    is the first record leaf <= stop_at, so it too is independent of the
+    bound.
     """
     taken_masks = [0, 0, 0]
     base_cover = 0
@@ -335,9 +366,31 @@ def _cover_branch_bound(
     stop = -1 if stop_at is None else stop_at  # every value is >= 0
     best_cost = deficit  # take nothing beyond the free items
     best_sets: tuple[int, ...] = ()
+    scan_after = 4 * n  # nodes searched on the cheap bound alone
+    nodes = 0
+
+    def prunable(k: int, budget: int, rem: int) -> bool:
+        """Whether every completion from item k of a node with deficit rem
+        adds at least budget to its cost: the overshoot bound and the
+        fractional fill are both >= budget."""
+        fill, left = 0, rem  # the fill's cost so far, and the deficit left
+        for j in range(k, n):
+            i, w, u, _, _ = items[j]
+            if u >= rem:
+                if w < budget:
+                    return False
+            elif left:
+                if u < left:
+                    fill += w
+                    left -= u
+                else:  # the fill ends in this item: fill + left * (i - 1)/i
+                    if fill * i + left * (i - 1) < budget * i:
+                        return False
+                    left = 0
+        return not left or fill + left >= budget
 
     def dfs(k: int, cost: int, rem: int, chosen: tuple[int, ...]):
-        nonlocal best_cost, best_sets
+        nonlocal best_cost, best_sets, nodes
         if rem <= 0 or k == n:
             total = cost + (rem if rem > 0 else 0)
             if total < best_cost:
@@ -348,6 +401,9 @@ def _cover_branch_bound(
         i, w, u, _, _ = items[k]
         # cost + rem * (i - 1)/i >= best_cost, in integers
         if cost * i + rem * (i - 1) >= best_cost * i:
+            return
+        nodes += 1
+        if nodes > scan_after and prunable(k, best_cost - cost, rem):
             return
         dfs(k + 1, cost + w, rem - u, chosen + (k,) if track else chosen)
         dfs(k + 1, cost, rem, chosen)

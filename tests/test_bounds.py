@@ -1,4 +1,6 @@
+import json
 import random
+import signal
 from fractions import Fraction
 from math import lcm
 
@@ -25,6 +27,7 @@ from abckit.bounds import (
     thue_bound,
     trivial_bound,
 )
+from abckit.cli import main
 
 F = Fraction
 
@@ -156,10 +159,28 @@ def _random_cfg(rng, max_d=4, dens=(2, 3, 4, 5, 6, 10, 12), with_delta=True):
     return ExponentConfiguration(d=d, a=vec(), b=vec(), c=vec(), delta=delta)
 
 
+def _tail_shaped_cfg(rng, d):
+    """Shaped like GEOMETRY_TAIL below: per vector a large class-1 entry,
+    small middle entries and one large top-class entry, which alone
+    overshoots most of the deficit the class-1 entries leave."""
+    grid = 3_000_000
+
+    def vec():
+        middle = [rng.choice((0, rng.randint(1, 12_000))) for _ in range(d - 2)]
+        return tuple(
+            F(x, grid) for x in [rng.randint(650_000, 800_000), *middle,
+                                 rng.randint(150_000, 300_000)]
+        )
+
+    return ExponentConfiguration(d=d, a=vec(), b=vec(), c=vec(), delta=F(1, 1000))
+
+
 def test_geometry_branch_bound_equals_exhaustive():
     rng = random.Random(20260817)
-    for _ in range(250):
-        cfg = _random_cfg(rng)
+    configs = [_random_cfg(rng) for _ in range(250)]
+    tail_rng = random.Random(8)
+    configs += [_tail_shaped_cfg(tail_rng, d) for d in (2, 3, 4, 5) for _ in range(15)]
+    for cfg in configs:
         bb = geometry_bound(cfg, mode="branch-and-bound")
         ex = geometry_bound(cfg, mode="exhaustive")
         assert bb.value == ex.value, cfg
@@ -446,3 +467,136 @@ def test_cover_branch_bound_stop_at():
         )
     assert stopped > 50
 
+
+
+def _search_leaves(entries, target):
+    """Every leaf of the cover search in the order the search meets it, as
+    (value, masks): first the free items alone (the starting incumbent),
+    then the tree over the other nonzero items sorted by (class, -u) with
+    u = class * entry, taking an item before skipping it, and a leaf once
+    the deficit is covered or the items run out."""
+    free = [1 if vec and vec[0] else 0 for vec in entries]
+    deficit = target - sum(vec[0] for vec in entries if vec)
+    items = sorted(
+        ((ei + 1, vi, ei) for vi, vec in enumerate(entries)
+         for ei, v in enumerate(vec) if v and ei),
+        key=lambda t: (t[0], -t[0] * entries[t[1]][t[2]]),
+    )
+    leaves = [(max(deficit, 0), tuple(free))]
+
+    def walk(k, cost, rem, masks):
+        if rem <= 0 or k == len(items):
+            leaves.append((cost + max(rem, 0), tuple(masks)))
+            return
+        i, vi, ei = items[k]
+        v = entries[vi][ei]
+        taken = list(masks)
+        taken[vi] |= 1 << ei
+        walk(k + 1, cost + (i - 1) * v, rem - i * v, taken)
+        walk(k + 1, cost, rem, masks)
+
+    if deficit > 0:
+        walk(0, 0, deficit, free)
+    return leaves
+
+
+def test_cover_branch_bound_returns_first_leaf_in_search_order():
+    rng = random.Random(1957)
+    for case in range(2000):
+        target = rng.randint(1, 1000)
+        if case % 2:
+            # entries whose coverage i * v overshoots the deficit
+            d = rng.randint(1, 5)
+
+            def entry(i):
+                return rng.choice((0, rng.randint(1, 30), rng.randint(target // i, target)))
+        else:
+            # many items of coverage up to target / 5: long searches, some
+            # of whose records come late
+            d = 5
+
+            def entry(i):
+                return rng.randint(0, target // (5 * i) + 1)
+        entries = tuple(tuple(entry(i) for i in range(1, d + 1)) for _ in range(3))
+        leaves = _search_leaves(entries, target)
+        opt = min(value for value, _ in leaves)
+        first_opt = next(leaf for leaf in leaves if leaf[0] == opt)
+        assert _cover_branch_bound(entries, target) == first_opt, (entries, target)
+        assert _cover_branch_bound(entries, target, track=False)[0] == opt
+        for stop_at in (opt - 1, opt, opt + 1, 10**9):
+            want = next((leaf for leaf in leaves if leaf[0] <= stop_at), first_opt)
+            got = _cover_branch_bound(entries, target, stop_at=stop_at)
+            assert got == want, (entries, target, stop_at)
+            got = _cover_branch_bound(entries, target, track=False, stop_at=stop_at)
+            assert got[0] == want[0], (entries, target, stop_at)
+
+
+# The replay benchmark's fixed geometry input (bench/workloads.py): eight
+# classes, each vector a large class-1 entry, small middle entries and one
+# large class-8 entry.
+GEOMETRY_TAIL = {
+    "d": 8,
+    "a": ["783853/3000000", "287/375000", "967/600000", "3769/3000000",
+          "409/300000", "777/1000000", "623/375000", "33373/500000"],
+    "b": ["713989/3000000", "8059/3000000", "3559/1000000", "3551/3000000",
+          "1963/1000000", "1/6000", "51/100000", "17719/200000"],
+    "c": ["7023/31250", "5801/1500000", "31/1000000", "691/750000",
+          "7/40000", "139/93750", "67/750000", "70627/750000"],
+    "delta": "1/1000",
+    "epsilon": "1/1000",
+}
+
+
+def _tail_doc(d):
+    """GEOMETRY_TAIL stretched to d > 8 classes: the class-1 and top entries
+    kept, the six middle entries halved and repeated in turn, so that the
+    middle items still cover well under the deficit the class-1 entries
+    leave.  The cheaper completion bound alone visits about 8x more nodes
+    per added class on this shape."""
+    doc = dict(GEOMETRY_TAIL, d=d)
+    for name in "abc":
+        vec = GEOMETRY_TAIL[name]
+        middle = [str(F(vec[1 + j % 6]) / 2) for j in range(d - 2)]
+        doc[name] = [vec[0], *middle, vec[-1]]
+    return doc
+
+
+def test_geometry_tail_pinned():
+    doc = GEOMETRY_TAIL
+    cfg = cfg_of(*(tuple(F(x) for x in doc[name]) for name in "abc"),
+                 delta=F(doc["delta"]), epsilon=F(doc["epsilon"]))
+    rep = geometry_bound(cfg)
+    assert rep.value == F(252913, 1000000)
+    first_seven = list(range(1, 8))
+    assert rep.witness == {"I": first_seven, "Ip": first_seven, "Ipp": first_seven}
+    assert evaluate_at(cfg, "geometry", rep.witness) == rep.value
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _raise_timeout(signum, frame):
+    raise _Timeout
+
+
+def test_bounds_eval_tail_shape_d12_answers(capsys, tmp_path):
+    path = tmp_path / "tail12.json"
+    path.write_text(json.dumps(_tail_doc(12)))
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code = main(["bounds", "eval", "--config", str(path)])
+    except _Timeout:
+        pytest.fail("bounds eval on a d = 12 tail-shaped configuration took over 5 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    cfg = cfg_of(*(tuple(F(x) for x in doc["config"][name]) for name in "abc"),
+                 delta=F(doc["config"]["delta"]))
+    reports = {rep["method"]: rep for rep in doc["reports"]}
+    geometry = reports["geometry"]
+    assert evaluate_at(cfg, "geometry", geometry["witness"]) == F(geometry["value"])
+    assert F(reports["best"]["value"]) <= F(geometry["value"])
