@@ -63,10 +63,15 @@ METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
 EXHAUSTIVE_LIMIT = 12  # most classes geometry_bound(mode="exhaustive") takes
+# most items (nonzero entries of class >= 2) the cover search takes: it
+# recurses once per item, and this stays clear of the default recursion
+# limit of 1000 with room for the caller's frames
+COVER_ITEM_LIMIT = 750
 
 
 class SubsetSearchRefusal(ValueError):
-    """Exhaustive geometry enumeration refused: too many power classes."""
+    """Geometry subset search refused: too many power classes for the
+    exhaustive enumeration, or too many items for the cover search."""
 
 
 def _rat_tuple(values: Iterable[Rat]) -> tuple[Fraction, ...]:
@@ -356,6 +361,11 @@ def _cover_branch_bound(
     deficit = target - base_cover
     if deficit <= 0 or not items:
         return max(deficit, 0), tuple(taken_masks)
+    if len(items) > COVER_ITEM_LIMIT:
+        raise SubsetSearchRefusal(
+            f"cover search over {len(items)} items (nonzero entries of class "
+            f">= 2) exceeds the limit {COVER_ITEM_LIMIT}"
+        )
     # A class-i item costs w = (i - 1) v for u = i v of coverage: its rate
     # w/u = (i - 1)/i grows with the class and stays below 1, the rate of
     # leaving deficit uncovered.  So sorting by class is cheapest-rate-first
@@ -519,7 +529,8 @@ def geometry_bound(
 
     W weights each selected entry by its class index; S is the plain sum.
     Both modes return the certified optimum; 'exhaustive' enumerates all
-    2**(3d) subset triples and refuses when d exceeds EXHAUSTIVE_LIMIT.
+    2**(3d) subset triples and refuses when d exceeds EXHAUSTIVE_LIMIT, and
+    branch-and-bound refuses more than COVER_ITEM_LIMIT items.
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -546,38 +557,27 @@ def best_bound(
     cfg: ExponentConfiguration,
     *,
     methods: Sequence[str] | None = None,
-    geometry_mode: str = "branch-and-bound",
 ) -> BoundReport:
     """Minimum of the selected bounds (the five of METHOD_NAMES by default;
     extended-fourier may be listed too).  Ties go to the method listed first.
 
-    If the geometry evaluator refuses (exhaustive mode over the class limit)
-    the minimum is taken over the rest and the witness is flagged
-    geometry_skipped.
+    The witness names the winning method and holds that method's witness.
+    Geometry runs its branch-and-bound search; a refusal there (too many
+    items) propagates.
     """
     names = METHOD_NAMES if methods is None else tuple(methods)
+    if not names:
+        raise ValueError("methods must not be empty")
     for name in names:
         if name not in EVALUATORS:
             raise ValueError(f"unknown method {name!r}")
-    skipped = False
     best = None
     for name in names:
-        if name == "geometry":
-            try:
-                rep = geometry_bound(cfg, mode=geometry_mode)
-            except SubsetSearchRefusal:
-                skipped = True
-                continue
-        else:
-            rep = EVALUATORS[name](cfg)
+        # geometry by its module name, so a traced run (bench/layers.py) sees it
+        rep = geometry_bound(cfg) if name == "geometry" else EVALUATORS[name](cfg)
         if best is None or rep.value < best.value:
             best = rep
-    if best is None:
-        raise ValueError("no bound method could be evaluated")
-    witness = {"method": best.method, "witness": best.witness}
-    if skipped:
-        witness["geometry_skipped"] = True
-    return BoundReport("best", best.value, witness)
+    return BoundReport("best", best.value, {"method": best.method, "witness": best.witness})
 
 
 def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fraction:

@@ -368,8 +368,7 @@ def _cmd_verify_region(args) -> int:
     report = maximize_nu(
         args.d, args.delta, args.epsilon, args.lam,
         budget=args.samples, seed=args.seed, threshold=args.threshold,
-        methods=args.methods, streams=args.streams, threads=args.threads,
-        grid=args.grid,
+        methods=args.methods, streams=args.streams, grid=args.grid,
     )
     payload = {"schema": SCHEMA, **_jsonify(report)}
     if args.format == "json":
@@ -400,7 +399,7 @@ def _cmd_explore_theta(args) -> int:
     report = explore_theta(
         args.d, args.delta, args.epsilon, args.lam,
         budget=args.budget, seed=args.seed, methods=args.methods,
-        rounds=args.rounds, streams=args.streams, threads=args.threads,
+        rounds=args.rounds, streams=args.streams,
     )
     _print_json({"schema": SCHEMA, **_jsonify(report)})
     return 0
@@ -580,7 +579,6 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", type=_methods_list, default=None,
                    help="comma-separated bound subset (default: all five)")
     p.add_argument("--streams", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--grid", type=int, default=None,
                    help="lattice denominator override")
     _add_format(p)
@@ -614,7 +612,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--methods", type=_methods_list, default=None)
     p.add_argument("--streams", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_explore_theta)
 
     return parser

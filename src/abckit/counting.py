@@ -467,19 +467,16 @@ def count_bd(
     est = nx * ny * nz if strategy == "nested" else nz + nx * ny
     _check_budget("count_bd", est, budget)
     c1, c2, c3 = spec.coefficients
+    anchors = ",".join(
+        "[" + ";".join(format_rational(a) for a in fam) + "]"
+        for fam in (spec.X, spec.Y, spec.Z)
+    )
+    query = f"count_bd(d={spec.d}, c={spec.coefficients}, anchors={anchors})"
     t0 = time.perf_counter()
     count = 0
     if min(nx, ny, nz) == 0:
-        anchors = ",".join(
-            "[" + ";".join(format_rational(a) for a in fam) + "]"
-            for fam in (spec.X, spec.Y, spec.Z)
-        )
-        return CountResult(
-            query=f"count_bd(d={spec.d}, c={spec.coefficients}, anchors={anchors})",
-            count=0,
-            strategy=strategy,
-            elapsed_seconds=time.perf_counter() - t0,
-        )
+        return CountResult(query=query, count=0, strategy=strategy,
+                           elapsed_seconds=time.perf_counter() - t0)
     if strategy == "nested":
         fx, fy, fz = _family(spec.X), _family(spec.Y), _family(spec.Z)
         for px, sx in fx:
@@ -502,11 +499,6 @@ def count_bd(
                     g2 = gcd(g1, c2 * sy)
                     count += sum(1 for h in hits if gcd(g2, h) == 1)
     elapsed = time.perf_counter() - t0
-    anchors = ",".join(
-        "[" + ";".join(format_rational(a) for a in fam) + "]"
-        for fam in (spec.X, spec.Y, spec.Z)
-    )
-    query = f"count_bd(d={spec.d}, c={spec.coefficients}, anchors={anchors})"
     return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
 
 

@@ -50,11 +50,6 @@ def cmp_pow(x: Rational, p: int, y: Rational, q: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def pow_lt(x: Rational, p: int, y: Rational, q: int) -> bool:
-    """x**p < y**q, exactly."""
-    return cmp_pow(x, p, y, q) < 0
-
-
 def pow_leq(x: Rational, p: int, y: Rational, q: int) -> bool:
     """x**p <= y**q, exactly."""
     return cmp_pow(x, p, y, q) <= 0

@@ -24,7 +24,6 @@ managed to find.  A certified supremum over the polytope is out of scope.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -38,6 +37,7 @@ from .bounds import (
     best_bound,
     fast_best,
 )
+from .cases import TRIANGLE_VERTICES
 from .exact import format_rational
 
 F = Fraction
@@ -333,12 +333,6 @@ def _draw(win: _Windows, d: int, bits):
 
 # --- corner generators ------------------------------------------------------
 
-_TRIANGLE_VERTICES = (
-    (F(49, 800), F(31, 200)),
-    (F(157, 2000), F(33, 250)),
-    (F(17, 240), F(7, 60)),
-)
-
 
 def _split_three(total: int) -> tuple[int, int, int]:
     q, r = divmod(total, 3)
@@ -394,7 +388,7 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
     out = []
     scale = win.scale
     targets = []
-    for s1, s2 in _TRIANGLE_VERTICES:
+    for s1, s2 in TRIANGLE_VERTICES:
         s1u, s2u = s1 * scale, s2 * scale
         if s1u.denominator == 1 and s2u.denominator == 1:
             targets.append((s1u.numerator, s2u.numerator))
@@ -484,7 +478,6 @@ def sample_feasible(
     seed: int,
     *,
     grid: int | None = None,
-    include_corners: bool = True,
 ) -> list[ExponentConfiguration]:
     """Deterministic feasible samples (the same arguments always return the
     same list).  Corner generators lead, then lattice rejection sampling.
@@ -500,10 +493,9 @@ def sample_feasible(
     win = _windows_for(d, dl, ep, grid)
     bits = Random(seed * 1_000_003 + 1).getrandbits
     out: list[ExponentConfiguration] = []
-    if include_corners:
-        for trip in _corner_triples(win, d, dl, bits):
-            if len(out) < count:
-                out.append(_to_config(trip, win.scale, dl, ep, d))
+    for trip in _corner_triples(win, d, dl, bits):
+        if len(out) < count:
+            out.append(_to_config(trip, win.scale, dl, ep, d))
     attempts = 0
     while len(out) < count and attempts < 60 * count:
         attempts += 1
@@ -530,8 +522,7 @@ class RegionSearchReport:
     best_bound value seen over the feasible samples (None when no feasible
     sample was found), and `verdict` says whether it stayed at or below
     `threshold`.  `maximum` always equals best_bound re-evaluated at
-    `argmax`.  Streams and seed pin the run exactly; thread count never
-    changes the result.
+    `argmax`.  Seed and streams pin the run exactly.
     """
 
     d: int
@@ -542,7 +533,6 @@ class RegionSearchReport:
     budget: int
     seed: int
     streams: int
-    threads: int
     methods: tuple[str, ...]
     strategy_mix: dict
     samples: int
@@ -567,8 +557,20 @@ def _hill_steps(scale: int) -> tuple[int, ...]:
     ) or (1,)
 
 
-def _stream_task(args):
-    (win, d, seed, stream, draws, climbs, methods, delta, with_corners) = args
+def _beats(cand, best) -> bool:
+    """Whether cand = (num, den, vecs) is preferred to best (None or of the
+    same shape): a larger value num/den, then on a tie the smaller vecs."""
+    if best is None:
+        return True
+    num, den, vecs = cand
+    bn, bd, bv = best
+    return num * bd > bn * den or (num * bd == bn * den and vecs < bv)
+
+
+def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
+    """One search stream: corner starts (stream 0 only), `draws` sampling
+    draws and `climbs` hill-climb moves from the stream's exact best.
+    Returns (best, wins, feasible, evaluated, corner_count)."""
     bits = Random(seed * 1_000_003 + 7919 * (stream + 1)).getrandbits
     scale = win.scale
     dn = (delta * scale).numerator
@@ -586,14 +588,11 @@ def _stream_task(args):
         floor = None if best is None else best[:2]
         num, den, method = fast_best(vecs, dn, scale, methods, floor=floor)
         wins[method] = wins.get(method, 0) + 1
-        if best is None:
-            best = (num, den, vecs)
-            return
-        bn, bd, bv = best
-        if num * bd > bn * den or (num * bd == bn * den and vecs < bv):
-            best = (num, den, vecs)
+        cand = (num, den, vecs)
+        if _beats(cand, best):
+            best = cand
 
-    if with_corners:
+    if stream == 0:
         for trip in _corner_triples(win, d, delta, bits):
             corner_count += 1
             evaluated += 1
@@ -637,7 +636,7 @@ def _stream_task(args):
                     improved = True
         if not improved:
             break
-    return stream, best, wins, feasible, evaluated, corner_count
+    return best, wins, feasible, evaluated, corner_count
 
 
 def _resolve_methods(methods) -> tuple[str, ...]:
@@ -664,16 +663,15 @@ def maximize_nu(
     *,
     methods: Sequence[str] | None = None,
     streams: int = 8,
-    threads: int = 1,
     grid: int | None = None,
 ) -> RegionSearchReport:
     """Search the feasible region for the largest best_bound value.
 
     `budget` counts sampling draws; hill-climbing adds ~15% more
     evaluations on top, from each stream's best sample, with steps
-    1/100, 1/1000, 1/10000 projected back to feasibility.  The result is
-    deterministic in (parameters, seed, streams); `threads` only sets the
-    executor width and is recorded for the report.
+    1/100, 1/1000, 1/10000 projected back to feasibility.  The streams
+    run one after another, and the result is deterministic in
+    (parameters, seed, streams).
     """
     dl, ep, lam = F(delta), F(epsilon), F(lam)
     threshold = F(threshold)
@@ -681,13 +679,10 @@ def maximize_nu(
         raise ValueError("budget must be >= 1")
     if streams < 1:
         raise ValueError("streams must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     method_names = _resolve_methods(methods)
     base_kwargs = dict(
         d=d, delta=dl, epsilon=ep, lam=lam, threshold=threshold,
-        budget=budget, seed=seed, streams=streams, threads=threads,
-        methods=method_names,
+        budget=budget, seed=seed, streams=streams, methods=method_names,
     )
 
     def empty(reason: str) -> RegionSearchReport:
@@ -717,33 +712,19 @@ def maximize_nu(
     per_draw[0] += budget % streams
     per_climb = [climbs_total // streams] * streams
     per_climb[0] += climbs_total % streams
-    tasks = [
-        (win, d, seed, k, per_draw[k], per_climb[k], method_names, dl, k == 0)
-        for k in range(streams)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_stream_task, tasks))
-    else:
-        results = [_stream_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
     best = None
     wins: dict[str, int] = {}
     feasible = samples = corners = 0
-    for _, sbest, swins, sfeas, seval, scorn in results:
+    for k in range(streams):
+        sbest, swins, sfeas, seval, scorn = _stream_task(
+            win, d, seed, k, per_draw[k], per_climb[k], method_names, dl
+        )
         feasible += sfeas
         samples += seval
         corners += scorn
-        for k, v in swins.items():
-            wins[k] = wins.get(k, 0) + v
-        if sbest is None:
-            continue
-        if best is None:
-            best = sbest
-            continue
-        bn, bd, bv = best
-        num, den, vecs = sbest
-        if num * bd > bn * den or (num * bd == bn * den and vecs < bv):
+        for m, v in swins.items():
+            wins[m] = wins.get(m, 0) + v
+        if sbest is not None and _beats(sbest, best):
             best = sbest
     mix = {"draws": budget, "hill": climbs_total, "corners": corners}
     if best is None:
@@ -797,7 +778,6 @@ def explore_theta(
     methods: Sequence[str] | None = None,
     rounds: int = 8,
     streams: int = 8,
-    threads: int = 1,
 ) -> ThetaReport:
     """Bisect candidate thresholds over [0.66 - eps^2, 1], run maximize_nu
     at each, and report the empirical sup of best_bound across all rounds
@@ -818,7 +798,6 @@ def explore_theta(
         rep = maximize_nu(
             d, dl, ep, lam, budget=per_round, seed=seed * 9176 + r,
             threshold=mid, methods=method_names, streams=streams,
-            threads=threads,
         )
         history.append((mid, rep.verdict))
         if rep.maximum is not None and (sup is None or rep.maximum > sup):

@@ -178,9 +178,8 @@ def test_criterion_5_region_falsification_run():
     if found != pinned:
         failures.append(("report changed", found, pinned))
     # reproducibility handles must be in the report itself
-    if (report.seed, report.streams, report.threads) != (0, 8, 1):
-        failures.append(("run handles", report.seed, report.streams,
-                         report.threads))
+    if (report.seed, report.streams) != (0, 8):
+        failures.append(("run handles", report.seed, report.streams))
     if elapsed > 600:
         failures.append(("runtime", elapsed))
     _verdict(5, failures,

@@ -137,11 +137,10 @@ def test_exhaustive_refusal():
     cfg = zeros(13)
     with pytest.raises(SubsetSearchRefusal):
         geometry_bound(cfg, mode="exhaustive")
-    rep = best_bound(cfg, geometry_mode="exhaustive")
-    assert rep.witness.get("geometry_skipped") is True
-    assert rep.value == 0  # trivial still wins on the zero config
     # branch-and-bound keeps working at that size
     assert geometry_bound(cfg).value == 1
+    with pytest.raises(ValueError):
+        best_bound(cfg, methods=())
 
 
 # --- randomized invariants ---

@@ -20,7 +20,12 @@ from pathlib import Path
 import pytest
 
 import abckit
-from abckit.bounds import evaluate_at
+from abckit.bounds import (
+    COVER_ITEM_LIMIT,
+    ExponentConfiguration,
+    evaluate_at,
+    geometry_bound,
+)
 from abckit.cli import main
 
 
@@ -264,7 +269,6 @@ def test_verify_region_deterministic(capsys):
     assert doc["verdict"] is True
     assert doc["seed"] == 5
     assert doc["streams"] == 2
-    assert doc["threads"] == 1
     assert "not a certified supremum" in doc["note"]
 
 
@@ -381,8 +385,15 @@ def test_exit_2_malformed_config(capsys, tmp_path):
     assert "0.5" in doc["error"]["message"]
 
 
-def test_exit_2_unknown_flag(capsys):
-    code, doc = run_json(capsys, "rad", "96", "--frobnicate")
+@pytest.mark.parametrize("argv", [
+    ("rad", "96", "--frobnicate"),
+    ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
+     "1/1000", "--threads", "2"),
+    ("explore", "theta", "--d", "6", "--delta", "1/1000", "--epsilon",
+     "1/1000", "--threads", "2"),
+])
+def test_exit_2_unknown_flag(capsys, argv):
+    code, doc = run_json(capsys, *argv)
     assert code == 2
     assert doc["error"]["kind"] == "usage"
 
@@ -402,12 +413,31 @@ def test_exit_2_invalid_argument(capsys):
     assert doc["error"]["kind"] == "invalid-argument"
 
 
+def _flat_config(d: int) -> dict:
+    """Every entry 1/1200: the cover search takes all 3(d - 1) items of
+    class >= 2 in turn, one recursion level each."""
+    row = ["1/1200"] * d
+    return {"d": d, "a": row, "b": row, "c": row}
+
+
+def test_exit_2_cover_search_too_deep(capsys, tmp_path):
+    # at the item limit the search still answers
+    assert 3 * (251 - 1) == COVER_ITEM_LIMIT
+    cfg = ExponentConfiguration(**_flat_config(251))
+    assert geometry_bound(cfg).value == Fraction(1117, 1200)
+    # one class more is refused with an error object, not a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_flat_config(252)))
+    code, doc = run_json(capsys, "bounds", "eval", "--config", str(path))
+    assert code == 2
+    assert doc["error"]["kind"] == "invalid-argument"
+    assert f"exceeds the limit {COVER_ITEM_LIMIT}" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "region", "--streams", "0"),
     ("verify", "region", "--streams", "-2"),
-    ("verify", "region", "--threads", "0"),
     ("explore", "theta", "--streams", "0"),
-    ("explore", "theta", "--threads", "-1"),
     ("explore", "theta", "--rounds", "0"),
     ("explore", "theta", "--rounds", "-3"),
     ("explore", "theta", "--budget", "0"),
@@ -495,14 +525,14 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         0, "4fe357124893b38b4df32df989b6514cecc849d0d07a4e190f156c176653b603"),
     "region-json": (
         _REGION,
-        0, "dab23b24ec7afced6d1790b2bfda76c5750a2ab8046607bec3ebf35289c25909"),
+        0, "a24f81019682d3a32628d3252c29b610746b5a4bb3d0a280831c5d9746306ae9"),
     "region-table": (
         _REGION + ("--format", "table"),
-        0, "a5ecfb91b76431531e6f7eba2120bf2262d1440985eb42961f94ed7151daa9b9"),
+        0, "b34bdba1ae7c286bb9c4ce82bd26146c811278a1375acf24e0b3e59acd65dc22"),
     "region-empty-json": (
         ("verify", "region", "--d", "2", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "10"),
-        0, "1d340a7a538a164f3ac8b7b5138fac765a843324ffc6c9ed20eceb925c8d9af7"),
+        0, "9eafb7afa1dc689bc26a7184fcff2c44112c52b5fb717bb1de7a6199fb92087c"),
     "cases-json": (
         ("verify", "cases"),
         0, "81acbf100ee715dbcbaad1bb0cbe12a8cab9a654f265967d12831b4b74a552f0"),

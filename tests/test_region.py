@@ -130,7 +130,7 @@ def test_empty_sampling_range_is_refused():
         _randint(bits, 5, 4)
     # at epsilon 1/20 the C4 totals window [0.32, 0.315] is empty
     with pytest.raises(ValueError):
-        sample_feasible(6, F(0), F(1, 20), 5, seed=1, include_corners=False)
+        sample_feasible(6, F(0), F(1, 20), 5, seed=1)
     # the search reports that window as an empty region instead
     rep = maximize_nu(6, F(0), F(1, 20), budget=50)
     assert (rep.outcome, rep.samples, rep.maximum) == ("region-empty", 0, None)
@@ -168,15 +168,6 @@ def test_search_basic_run():
     assert rep.strategy_mix["corners"] > 0
     assert sum(rep.method_wins.values()) == rep.feasible
     assert check_constraints(rep.argmax).feasible
-
-
-def test_search_thread_count_is_cosmetic():
-    one = maximize_nu(6, MILLI, MILLI, budget=600, seed=5, streams=3, threads=1)
-    three = maximize_nu(6, MILLI, MILLI, budget=600, seed=5, streams=3, threads=3)
-    assert one.maximum == three.maximum
-    assert one.argmax == three.argmax
-    assert one.method_wins == three.method_wins
-    assert three.threads == 3
 
 
 def test_search_region_empty_low_dimension():
@@ -223,13 +214,12 @@ def test_search_argument_errors():
         maximize_nu(6, MILLI, MILLI, budget=10, methods=("nope",))
     with pytest.raises(ValueError):
         maximize_nu(6, MILLI, MILLI, budget=10, grid=12)  # delta off-lattice
-    for bad in (dict(streams=0), dict(streams=-2), dict(threads=0),
-                dict(threads=-1)):
+    for streams in (0, -2):
         with pytest.raises(ValueError, match="must be >= 1"):
-            maximize_nu(6, MILLI, MILLI, budget=10, **bad)
+            maximize_nu(6, MILLI, MILLI, budget=10, streams=streams)
         # refused before the empty-region shortcut too
         with pytest.raises(ValueError, match="must be >= 1"):
-            maximize_nu(2, MILLI, MILLI, budget=10, **bad)
+            maximize_nu(2, MILLI, MILLI, budget=10, streams=streams)
 
 
 def test_theta_exploration():
