@@ -21,8 +21,9 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, compress, islice, product, repeat
 from math import gcd, isqrt, prod
+from operator import and_
 
 from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
 from .radicals import BudgetExceeded, build_radical_table, factorize
@@ -306,10 +307,19 @@ def count_s(
 
     Localized form (star=True): c in [ceil(X/2), X] and each radical in a
     dyadic window, rad(a) in (X**alpha, 2*X**alpha], etc.
+
+    Each member's test depends on one integer only, so it is computed once
+    per n <= X and exponent, by exact integer powers.  Every candidate pair
+    is still tested, against those three tables, and gcd runs only on the
+    pairs that pass.  'ca' sweeps c, then a, over the sieve table; 'ab'
+    sweeps a, then b, over a memoized trial-division radical.  Negative
+    exponents are refused.
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if X < 1:
         raise ValueError("need X >= 1")
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError("need alpha, beta, gamma >= 0")
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
@@ -326,40 +336,30 @@ def count_s(
     def plain(r: int, n: int, expo: Fraction) -> bool:
         return r ** expo.denominator <= n ** expo.numerator
 
+    def member_tests(rads: list[int], expo: Fraction) -> list[bool]:
+        # entry n: does n, of radical rads[n], pass; entry 0 never does
+        if star:
+            return [False] + [window(r, expo) for r in rads[1:]]
+        return [False] + [plain(r, n, expo) for n, r in enumerate(rads[1:], 1)]
+
     count = 0
     c_lo = (X + 1) // 2 if star else 2
     if strategy == "ca":
         rad_of = build_radical_table(X)
-        for c in range(c_lo, X + 1):
-            okc = window(rad_of[c], gamma) if star else plain(rad_of[c], c, gamma)
-            if not okc:
-                continue
-            for a in range(1, c):
-                if gcd(a, c - a) != 1:
-                    continue
-                b = c - a
-                oka = window(rad_of[a], alpha) if star else plain(rad_of[a], a, alpha)
-                if not oka:
-                    continue
-                okb = window(rad_of[b], beta) if star else plain(rad_of[b], b, beta)
-                if okb:
-                    count += 1
+        ok_a, ok_b, ok_c = (member_tests(rad_of, e) for e in (alpha, beta, gamma))
+        for c in compress(range(c_lo, X + 1), ok_c[c_lo:]):
+            # a runs up from 1 while b = c - a runs down from c - 1
+            hits = compress(range(1, c), map(and_, ok_a[1:c], ok_b[c - 1:0:-1]))
+            count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
         rad = _memo_radical()
-        for a in range(1, X):
-            oka = window(rad(a), alpha) if star else plain(rad(a), a, alpha)
-            if not oka:
-                continue
-            for b in range(1, X - a + 1):
-                c = a + b
-                if c < c_lo or gcd(a, b) != 1:
-                    continue
-                okb = window(rad(b), beta) if star else plain(rad(b), b, beta)
-                if not okb:
-                    continue
-                okc = window(rad(c), gamma) if star else plain(rad(c), c, gamma)
-                if okc:
-                    count += 1
+        rads = [0] + [rad(n) for n in range(1, X + 1)]
+        ok_a, ok_b, ok_c = (member_tests(rads, e) for e in (alpha, beta, gamma))
+        for a in compress(range(1, X), ok_a[1:X]):
+            # b runs up from b0 while c = a + b runs up from a + b0 to X
+            b0 = max(1, c_lo - a)
+            hits = compress(range(b0, X - a + 1), map(and_, ok_b[b0:X - a + 1], ok_c[a + b0:]))
+            count += list(map(gcd, hits, repeat(a))).count(1)
     elapsed = time.perf_counter() - t0
     query = (
         f"count_s(X={X}, alpha={format_rational(alpha)}, "
@@ -379,9 +379,12 @@ def count_radical_bounded(
 ) -> CountResult:
     """#{n <= x : rad(n) <= x**lam}, the radical-bounded integer count.
 
-    The comparison is non-strict.  Strategies: 'scan' sweeps 1..x with a
-    sieve table; 'radical-first' enumerates squarefree radicals r up to the
-    threshold and counts, for each, the n <= x whose radical is exactly r.
+    The comparison is non-strict, and rad(n)**q <= x**p (lam = p/q) holds
+    exactly when rad(n) <= t = iroot(x**p, q).  Strategies: 'scan' sweeps
+    1..x with a sieve table, testing every entry against t, whose bracket
+    t**q <= x**p < (t + 1)**q it checks itself; 'radical-first' enumerates
+    squarefree radicals r <= t and counts, for each, the n <= x whose
+    radical is exactly r.
     """
     lam = Fraction(lam)
     if x < 1 or lam < 0:
@@ -393,8 +396,12 @@ def count_radical_bounded(
     if strategy == "scan":
         _check_budget("count_radical_bounded", x, budget)
         rad_of = build_radical_table(x)
+        # r**q <= x**p  <=>  r <= t, for the one integer t checked here
         xp = x**p
-        count = sum(1 for n in range(1, x + 1) if rad_of[n] ** q <= xp)
+        t = iroot(xp, q)
+        if not t**q <= xp < (t + 1) ** q:
+            raise ArithmeticError(f"iroot({xp}, {q}) returned {t}")
+        count = sum(map(t.__ge__, rad_of[1:]))
     else:
         # largest integer r with r^q <= x^p
         threshold = iroot(x**p, q)
@@ -513,8 +520,9 @@ def count_ternary(
     """Count nonzero pairwise-coprime (x, y, z) in the signed boxes with
     a1*x^p + a2*y^q + a3*z^r = 0.
 
-    Strategies: 'nested' sweeps all three variables; 'solve-z' sweeps
-    (x, y) and recovers z by exact integer root extraction.
+    Strategies: 'nested' sweeps all three variables, comparing every
+    (x, y) against every z's a3*z**r, each term computed once per value;
+    'solve-z' sweeps (x, y) and recovers z by exact integer root extraction.
     """
     if strategy not in ("nested", "solve-z"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -532,13 +540,19 @@ def count_ternary(
     t0 = time.perf_counter()
     count = 0
     if strategy == "nested":
+        zs = list(signed(Z))
+        zpow = [a3 * z**r for z in zs]
+        ys = [(y, a2 * y**q) for y in signed(Y)]
         for x in signed(X):
-            for y in signed(Y):
+            ax = a1 * x**p
+            for y, ay in ys:
                 if gcd(x, y) != 1:
                     continue
-                partial = a1 * x**p + a2 * y**q
-                for z in signed(Z):
-                    if partial + a3 * z**r == 0 and gcd(x, z) == 1 and gcd(y, z) == 1:
+                neg = -(ax + ay)
+                if neg not in zpow:  # compares every z's a3*z**r
+                    continue
+                for z, w in zip(zs, zpow):
+                    if w == neg and gcd(x, z) == 1 and gcd(y, z) == 1:
                         count += 1
     else:
         for x in signed(X):

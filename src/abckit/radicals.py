@@ -11,7 +11,8 @@ BudgetExceeded rather than search for ever.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, prod
 
 # Deterministic Miller-Rabin witness set: testing against the first 13
 # primes is a proven primality test for every n below this bound.
@@ -24,8 +25,20 @@ _TRIAL_CAP = 10_000  # trial-divide this far before switching to rho
 # prime factors above the trial cap split within about 2**16
 _RHO_CAP = 1 << 22
 
-# wheel mod 30: gaps between candidates coprime to 2, 3, 5
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+def _trial_blocks():
+    """The mod-30 wheel candidates 7 <= f <= _TRIAL_CAP (those coprime to
+    2, 3 and 5) in blocks of 64, each as (candidates, last candidate, their
+    product).  One gcd with a block's product, about 850 bits, costs far
+    less than its 64 trial divisions."""
+    cands = sorted(chain.from_iterable(
+        range(r, _TRIAL_CAP + 1, 30) for r in (7, 11, 13, 17, 19, 23, 29, 31)
+    ))
+    runs = [tuple(cands[k:k + 64]) for k in range(0, len(cands), 64)]
+    return tuple((run, run[-1], prod(run)) for run in runs)
+
+
+_BLOCKS = _trial_blocks()
 
 # entry n holds rad(n); entry 0 is a 0 placeholder so indexing is direct
 RadicalTable = list[int]
@@ -149,6 +162,13 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Exact prime factorization {p: exponent} of n >= 1.
 
+    Trial division walks the mod-30 wheel up to _TRIAL_CAP in blocks; a
+    block that lies wholly below sqrt(n) and is coprime to n (one gcd with
+    the product of its candidates) is skipped, since none of its
+    candidates divides n.  Every other block, so every block for small n,
+    is trial-divided candidate by candidate, and the factors come out in
+    the same order as without the skip.
+
     Raises BudgetExceeded when a factor above 3.3 * 10**24 is a probable
     prime that cannot be proven here, or when rho needs more than
     _RHO_CAP iterations to split a cofactor.
@@ -160,13 +180,21 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f, i = 7, 0
-    while f <= _TRIAL_CAP and f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += _WHEEL[i]
-        i = (i + 1) % 8
+    for run, last, block in _BLOCKS:
+        # a block wholly below sqrt(n) and coprime to n divides nothing
+        if last * last <= n and gcd(n, block) == 1:
+            continue
+        for f in run:
+            if f * f > n:
+                break
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+        else:
+            continue
+        break
+    else:
+        f = _TRIAL_CAP + 1  # every candidate up to the cap was tried
     # every prime below f is divided out, so a cofactor below f*f is 1 or
     # prime; a larger one is built from primes beyond the cap
     if n < f * f:

@@ -330,6 +330,28 @@ def test_best_bound_method_lists():
         best_bound(cfg, methods=("trivial", "nope"))
 
 
+def test_best_bound_calls_every_method_through_its_module_attribute(monkeypatch):
+    import abckit.bounds as B
+
+    cfg = cfg_of([F(1, 10), F(1, 5)], [F(1, 10), F(1, 5)], [F(3, 10), F(0)])
+    names = (*METHOD_NAMES, EXTENDED_METHOD)
+    want = best_bound(cfg, methods=names)
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        attr = name.replace("-", "_") + "_bound"
+        monkeypatch.setattr(B, attr, counted(name, getattr(B, attr)))
+    got = best_bound(cfg, methods=names)
+    assert calls == dict.fromkeys(names, 1)
+    assert (got.value, got.witness) == (want.value, want.witness)
+
+
 def test_fast_path_restricted_methods():
     cfg = cfg_of([F(1, 10), F(1, 5)], [F(1, 10), F(1, 5)], [F(3, 10), F(0)])
     vecs, dn = fast_scale(cfg, 30)

@@ -413,6 +413,19 @@ def test_exit_2_invalid_argument(capsys):
     assert doc["error"]["kind"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--alpha=-1/2", "--beta", "1", "--gamma", "1"),
+    ("--alpha", "1", "--beta=-1", "--gamma", "1", "--star"),
+    ("--alpha", "1", "--beta", "1", "--gamma=-3/2", "--strategy", "ab"),
+])
+def test_exit_2_count_s_negative_exponent(capsys, flags):
+    # a negative exponent would make the radical tests compare floats
+    code, doc = run_json(capsys, "count", "s", "--x", "20", *flags)
+    assert code == 2
+    assert doc["error"]["kind"] == "invalid-argument"
+    assert ">= 0" in doc["error"]["message"]
+
+
 def _flat_config(d: int) -> dict:
     """Every entry 1/1200: the cover search takes all 3(d - 1) items of
     class >= 2 in turn, one recursion level each."""
@@ -508,6 +521,14 @@ _LATTICE_CONFIG = {  # a feasible d = 6 sample on the 3,000,000 grid
 _REGION = ("verify", "region", "--d", "6", "--delta", "1/1000",
            "--epsilon", "1/1000", "--samples", "300", "--seed", "2")
 
+_COUNT_S = ("count", "s", "--x", "60", "--alpha", "1/2", "--beta", "2/3",
+            "--gamma", "3/4")
+_COUNT_S_STAR = ("count", "s", "--x", "64", "--alpha", "1/3", "--beta", "1/2",
+                 "--gamma", "2/3", "--star")
+_TERNARY = ("count", "ternary", "--exponents", "1,2,3",
+            "--coefficients=-1,1,2", "--limits", "40,12,9")
+_DEBRUIJN = ("count", "debruijn", "--x", "5000", "--lambda", "2/3")
+
 _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "bounds-ties-json": (
         ("bounds", "eval", "--config", "{ties}", "--extended-fourier"),
@@ -544,6 +565,45 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
          "--epsilon", "1/1000", "--budget", "120", "--rounds", "2",
          "--streams", "2"),
         0, "9948ecaf65195b7ff5b9e067ac2ed7a7cc18ca1a459f0d9127b05579170acf29"),
+    "count-s-ca": (
+        _COUNT_S,
+        0, "94499dc911c7abe773fe380ecfaaf09934261e0f7c84af30c5f08531e26bb1b2"),
+    "count-s-ab": (
+        _COUNT_S + ("--strategy", "ab"),
+        0, "6520eb165446fd1cb900e209b6247992a5e466fb5653cdac0652e5c6357a9594"),
+    "count-s-star-ca": (
+        _COUNT_S_STAR,
+        0, "d39900fbb4e8cff406f38174831da32de3da82655b9e3cc4418b2c3223c2b7fa"),
+    "count-s-star-ab": (
+        _COUNT_S_STAR + ("--strategy", "ab"),
+        0, "7a03866c6f84bbaea8fcb91b9d99753365f0342f4a5ee32665b979d508918745"),
+    "count-ternary-solve-z": (
+        _TERNARY,
+        0, "cd4491ac38320244342e7b3616bfb46b7593f2194a78f09b53d35cd054a4aae3"),
+    "count-ternary-nested": (
+        _TERNARY + ("--strategy", "nested"),
+        0, "98965dfe28d74b517ad7e4ae9266ede02ed428f7a7745b89597c95225aa6d847"),
+    "count-debruijn-scan": (
+        _DEBRUIJN,
+        0, "1c8e2b53930aa0e525a84e9d99ff47a9fc6424bd7ef01526a0622740ffef61cc"),
+    "count-debruijn-radical-first": (
+        _DEBRUIJN + ("--strategy", "radical-first"),
+        0, "e30f477c1c38a2c8849efc8346735672af2ad5cf946bf60cb6f5fec349be241d"),
+    # trial division runs in blocks of 64 wheel candidates: 241 ends the
+    # first block, 487 starts the third, 9973 is the last prime below the
+    # cap and 10007 the first above it
+    "factorize-9973x10007": (
+        ("factorize", str(9973 * 10007)),
+        0, "369b2f98563a02ccbe7140c5ec75f2c787c2a758be5c63b7c1c659bbd0d3c2e2"),
+    "factorize-10007-squared": (
+        ("factorize", str(10007**2)),
+        0, "80b6b3f12813518d2d19cfad49271abe1259c57445276f4038018c6ebe7c8479"),
+    "factorize-487-squared-x1000003": (
+        ("factorize", str(487**2 * 1_000_003)),
+        0, "ef7711be81a6280b527feece29006eaab856bf61124ed6c88150d1861879fc1b"),
+    "factorize-241x1000000007": (
+        ("factorize", str(241 * 1_000_000_007)),
+        0, "2aa15a24390a72a7cc2645049b2140d2aaa9a18ff4655709f6c78f3257f57466"),
 }
 
 

@@ -1,6 +1,8 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -161,6 +163,45 @@ def test_s_strategies_agree():
             assert a.count == b.count, (X, star)
 
 
+def _s_by_definition(X, alpha, beta, gamma, star):
+    """count_s from its docstring: a double loop over (c, a)."""
+    def ok(n, e):
+        r, p, q = _rad(n), e.numerator, e.denominator
+        if star:  # X**e < r <= 2 * X**e, raised to the q-th power
+            return X**p < r**q <= 2**q * X**p
+        return r**q <= n**p  # r <= n**e
+
+    lo = (X + 1) // 2 if star else 2
+    return sum(
+        1
+        for c in range(lo, X + 1)
+        for a in range(1, c)
+        if gcd(a, c - a) == 1
+        and ok(a, alpha) and ok(c - a, beta) and ok(c, gamma)
+    )
+
+
+def test_s_matches_its_definition():
+    exps = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2))
+    for X in (1, 2, 17, 40):
+        for alpha, beta, gamma in product(exps, repeat=3):
+            for star in (False, True):
+                want = _s_by_definition(X, alpha, beta, gamma, star)
+                for strategy in ("ca", "ab"):
+                    got = count_s(X, alpha, beta, gamma, star=star, strategy=strategy)
+                    assert got.count == want, (X, alpha, beta, gamma, star, strategy)
+
+
+def test_s_refuses_negative_exponents():
+    for bad in ((F(-1, 2), 1, 1), (1, F(-1), 1), (1, 1, F(-3, 2))):
+        for star, strategy in product((False, True), ("ca", "ab")):
+            with pytest.raises(ValueError, match=">= 0"):
+                count_s(20, *bad, star=star, strategy=strategy)
+            # refused before the budget check, so before any table
+            with pytest.raises(ValueError, match=">= 0"):
+                count_s(10**12, *bad, star=star, strategy=strategy, budget=0)
+
+
 def test_radical_bounded_frozen():
     # radicals r <= 10 contribute 1+6+4+2+9+2+6 = 30 integers up to 100
     assert count_radical_bounded(100, F(1, 2)).count == 30
@@ -235,6 +276,57 @@ def test_ternary_strategies_agree():
         a = count_ternary(q, strategy="nested")
         b = count_ternary(q, strategy="solve-z")
         assert a.count == b.count, q
+
+
+def test_ternary_nested_agrees_with_solve_z_over_signs_and_exponents():
+    coefficients = ((1, 1, -1), (1, -1, 2), (-1, 1, -2), (3, 1, 2), (-2, 3, -2))
+    for exps in product((1, 2, 3), repeat=3):
+        for co in coefficients:
+            for limits in ((7, 5, 9), (12, 4, 3)):
+                q = TernaryQuery(exps, co, limits)
+                a = count_ternary(q, strategy="nested")
+                b = count_ternary(q, strategy="solve-z")
+                assert a.count == b.count, q
+
+
+def _estimate(fn):
+    try:
+        fn(0)
+    except BudgetExceeded as exc:
+        return exc.estimate
+    return None
+
+
+def test_budget_estimates_are_pinned():
+    s = lambda X, **kw: lambda budget: count_s(X, F(1, 2), F(1), F(2, 3),
+                                               budget=budget, **kw)
+    for X, want in ((1, None), (2, 1), (40, 780), (1500, 1124250),
+                    (10**6, 499999500000)):
+        assert _estimate(s(X)) == want
+        assert _estimate(s(X, star=True, strategy="ab")) == want
+    ternary = lambda limits, strategy: lambda budget: count_ternary(
+        TernaryQuery((1, 2, 3), (1, -1, 2), limits), strategy=strategy, budget=budget)
+    for limits, solve_z, nested in (((1, 1, 1), 4, 8), ((7, 5, 9), 140, 2520),
+                                    ((40, 40, 40), 6400, 512000),
+                                    ((10**4, 3, 10**5), 120000, 24000000000)):
+        assert _estimate(ternary(limits, "solve-z")) == solve_z
+        assert _estimate(ternary(limits, "nested")) == nested
+    rb = lambda x, lam, strategy: lambda budget: count_radical_bounded(
+        x, lam, strategy=strategy, budget=budget)
+    for x, lam, scan, first in ((1, F(1), 1, 2), (100, F(1, 2), 100, 110),
+                                (5000, F(2, 3), 5000, 5292),
+                                (10**7, F(1, 2), 10**7, 10003162),
+                                (10**6, F(3, 2), 10**6, 1001000000)):
+        assert _estimate(rb(x, lam, "scan")) == scan
+        assert _estimate(rb(x, lam, "radical-first")) == first
+    # the refusal boundary: a budget equal to the estimate runs
+    for run, est in ((s(40), 780), (ternary((7, 5, 9), "nested"), 2520),
+                     (ternary((7, 5, 9), "solve-z"), 140),
+                     (rb(5000, F(2, 3), "scan"), 5000),
+                     (rb(5000, F(2, 3), "radical-first"), 5292)):
+        run(est)
+        with pytest.raises(BudgetExceeded):
+            run(est - 1)
 
 
 def test_budget_refusal():

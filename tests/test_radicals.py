@@ -1,3 +1,4 @@
+import random
 import time
 from math import gcd
 
@@ -89,6 +90,53 @@ def test_factorize_refuses_unproven_large_prime():
     m61, p, q = 2**61 - 1, 1_000_003, 1_000_033
     assert m61 * p * q > radicals._MR_LIMIT
     assert factorize(m61 * p * q) == {p: 1, q: 1, m61: 1}
+
+
+def _wheel_factorize(n):
+    """factorize without the block skip: the mod-30 wheel tried one
+    candidate at a time up to the cap, then the same rho stack."""
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f, i = 7, 0
+    while f <= radicals._TRIAL_CAP and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += (4, 2, 4, 2, 4, 6, 2, 6)[i]
+        i = (i + 1) % 8
+    if n < f * f:
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if radicals._is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = radicals._rho_factor(m)
+        stack += [d, m // d]
+    return out
+
+
+def test_block_skip_matches_the_plain_wheel():
+    for n in range(1, 200_000):
+        assert list(factorize(n).items()) == list(_wheel_factorize(n).items()), n
+    rng = random.Random(2024)
+    # primes at block edges, the last one below the cap, and beyond it
+    edges = (7, 11, 241, 251, 479, 487, 719, 9851, 9973, 10007, 1_000_003)
+    for _ in range(400):
+        n = rng.randrange(1, 10**18)
+        for _ in range(rng.randrange(4)):
+            p = rng.choice(edges)
+            if n * p < 10**18:
+                n *= p
+        assert list(factorize(n).items()) == list(_wheel_factorize(n).items()), n
 
 
 def test_rho_iteration_cap(monkeypatch):
