@@ -476,8 +476,9 @@ def build_parser() -> _Parser:
     p.add_argument("--unordered", action="store_true",
                    help="count unordered {a, b} pairs instead of ordered (a, b)")
     p.add_argument("--strategy", choices=["ca", "ab"], default="ca",
-                   help="ca: brute-force scan of every (c, a), about X^2/2 "
-                        "candidates; ab: enumeration by small radical, "
+                   help="ca: brute-force scan of every unordered pair "
+                        "{a, c - a}, about X^2/4 candidates, behind an exact "
+                        "bit-length prefilter; ab: enumeration by small radical, "
                         "about 10^6 candidates at X = 10^5, lambda = 1")
     _add_budget(p)
     _add_format(p, csv_ok=True)

@@ -151,27 +151,17 @@ def _check_budget(operation: str, estimate: int, budget: int | None) -> None:
         raise BudgetExceeded(operation, estimate, limit)
 
 
-def _memo_radical():
-    """Tiny memoized radical by bare trial division -- deliberately
-    independent of the sieve used by the 'ca' strategies."""
-    cache: dict[int, int] = {1: 1}
-
-    def rad(n: int) -> int:
-        if n in cache:
-            return cache[n]
-        m, r, f = n, 1, 2
-        while f * f <= m:
-            if m % f == 0:
-                r *= f
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            r *= m
-        cache[n] = r
-        return r
-
-    return rad
+def _trial_radical(n: int) -> int:
+    """rad(n) by bare trial division -- deliberately independent of the
+    sieve used by the 'ca' strategies."""
+    r, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            r *= f
+            while n % f == 0:
+                n //= f
+        f += 1
+    return r * n if n > 1 else r
 
 
 # --- exceptional abc triples -------------------------------------------------
@@ -190,11 +180,17 @@ def count_exceptional_triples(
     definition.  ``ordered`` counts (a, b) and (b, a) separately;
     otherwise only a <= b.  Strategies:
 
-    * 'ca' scans every pair (c, a) against a smallest-prime-factor sieve
-      table, X**2/2 candidates: the brute-force oracle.  It skips only
-      the rows c whose exact threshold is empty (c**lam <= rad c, e.g.
-      every squarefree c at lam <= 1), where no pair can pass since
-      rad a * rad b >= 1; every other row is scanned in full.
+    * 'ca' scans every unordered pair {a, c - a}, a <= c/2, against a
+      smallest-prime-factor sieve table, X**2/4 candidates: the
+      brute-force oracle.  Each pair that passes counts twice when
+      ``ordered``, except (1, 1, 2), its own mirror.  It skips only the
+      rows c whose exact threshold is empty (c**lam <= rad c, e.g. every
+      squarefree c at lam <= 1), where no pair can pass since
+      rad a * rad b >= 1.  Every other row goes through an exact
+      prefilter first: since r >= 2**(bitlen(r) - 1), a pair with
+      rad a * rad b <= t has bitlen(rad a) + bitlen(rad b) <= bitlen(t) + 1.
+      That sum is formed for a whole row at once, one byte per pair, and
+      only the pairs it keeps get the exact radical and gcd tests.
     * 'ab' enumerates by small radical, over a distinct-prime sieve.  Since
       min(rad a, rad b)**2 <= rad a * rad b, every counted triple has a
       member n < c with (rad(n)**2 * rad c)**q < c**p (lam = p/q), so for
@@ -224,22 +220,36 @@ def count_exceptional_triples(
 
 
 def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
-    """Every (c, a): rad(a) * rad(b) against one integer threshold per c."""
+    """Every unordered pair {a, c - a}: rad(a) * rad(b) against one integer
+    threshold per c, behind an exact prefilter on bit lengths."""
     rad_of = build_radical_table(X)
+    # one byte per n; every bit length is <= 127 while X < 2**127, so the sum
+    # of two such byte strings read as integers never carries between bytes
+    bl = bytes(map(int.bit_length, rad_of))
+    keeps: dict[int, bytes] = {}  # t: translate table sending 0..t to 1, the rest to 0
     count = 0
     for c in range(2, X + 1):
         # R**q < c**p  <=>  R <= iroot(c**p - 1, q), and x * r <= t  <=>  x <= t // r
         lim = iroot(c**p - 1, q) // rad_of[c]
         if lim == 0:
             continue
-        hi = c if ordered else c // 2 + 1
-        # a runs up from 1 while b = c - a runs down from c - 1; a, b, c
-        # pairwise coprime, so rad(abc) splits multiplicatively
-        count += sum(
-            1
-            for a, ra, rb in zip(range(1, hi), rad_of[1:hi], rad_of[c - 1:c - hi:-1])
-            if ra * rb <= lim and gcd(a, c - a) == 1
-        )
+        hi = c // 2 + 1
+        # byte a of the sum is bl(rad a) + bl(rad(c - a)) for a < hi (byte 0
+        # pairs 0 with c and is never read).  Since r >= 2**(bl(r) - 1), a
+        # pair with rad a * rad b <= lim has a byte sum <= bl(lim) + 1.
+        s = int.from_bytes(bl[:hi], "big") + int.from_bytes(bl[c:c - hi:-1], "big")
+        t = min(lim.bit_length() + 1, 254)  # byte sums never exceed 254
+        keep = keeps.get(t) or keeps.setdefault(t, b"\x01" * (t + 1) + bytes(255 - t))
+        find = s.to_bytes(hi, "big").translate(keep).find
+        # a, b, c pairwise coprime, so rad(abc) splits multiplicatively
+        k = 0
+        a = find(1, 1)
+        while a > 0:
+            if rad_of[a] * rad_of[c - a] <= lim and gcd(a, c) == 1:
+                k += 1
+            a = find(1, a + 1)
+        # a = c - a is coprime to c only in (1, 1, 2), its own mirror
+        count += 2 * k - (c == 2 and k) if ordered else k
     return count
 
 
@@ -312,7 +322,7 @@ def count_s(
     per n <= X and exponent, by exact integer powers.  Every candidate pair
     is still tested, against those three tables, and gcd runs only on the
     pairs that pass.  'ca' sweeps c, then a, over the sieve table; 'ab'
-    sweeps a, then b, over a memoized trial-division radical.  Negative
+    sweeps a, then b, over a plain trial-division radical.  Negative
     exponents are refused.
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
@@ -352,8 +362,7 @@ def count_s(
             hits = compress(range(1, c), map(and_, ok_a[1:c], ok_b[c - 1:0:-1]))
             count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
-        rad = _memo_radical()
-        rads = [0] + [rad(n) for n in range(1, X + 1)]
+        rads = [0] + [_trial_radical(n) for n in range(1, X + 1)]
         ok_a, ok_b, ok_c = (member_tests(rads, e) for e in (alpha, beta, gamma))
         for a in compress(range(1, X), ok_a[1:X]):
             # b runs up from b0 while c = a + b runs up from a + b0 to X

@@ -528,6 +528,7 @@ _COUNT_S_STAR = ("count", "s", "--x", "64", "--alpha", "1/3", "--beta", "1/2",
 _TERNARY = ("count", "ternary", "--exponents", "1,2,3",
             "--coefficients=-1,1,2", "--limits", "40,12,9")
 _DEBRUIJN = ("count", "debruijn", "--x", "5000", "--lambda", "2/3")
+_NLAMBDA = ("count", "nlambda", "--x", "4000", "--lambda", "1")
 
 _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "bounds-ties-json": (
@@ -583,6 +584,15 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "count-ternary-nested": (
         _TERNARY + ("--strategy", "nested"),
         0, "98965dfe28d74b517ad7e4ae9266ede02ed428f7a7745b89597c95225aa6d847"),
+    "count-nlambda-json": (
+        _NLAMBDA,
+        0, "39c514888121746aefb2072fe7c64e2027f94e50193a19bbb63ea239af75a145"),
+    "count-nlambda-unordered-json": (
+        _NLAMBDA + ("--unordered",),
+        0, "c98294e6bec8f33156b50b9888f2ad7a73331c8198048ebdb3bdca47d909386c"),
+    "count-nlambda-csv": (
+        ("count", "nlambda", "--x", "2000", "--lambda", "3/2", "--format", "csv"),
+        0, "3499d7b92bebadd06988b2ceb809246e73624db59c36676450fe520b863e010d"),
     "count-debruijn-scan": (
         _DEBRUIJN,
         0, "1c8e2b53930aa0e525a84e9d99ff47a9fc6424bd7ef01526a0622740ffef61cc"),

@@ -97,6 +97,51 @@ def _rad(n):
     return r * n if n > 1 else r
 
 
+def _exceptional_naive(X, lam, ordered):
+    """N_lam(x) for every x <= X: each (c, a) with a < c (a <= c - a unless
+    ordered) tested on its own, against trial-division radicals."""
+    p, q = lam.numerator, lam.denominator
+    rads = [0] + [_rad(n) for n in range(1, X + 1)]
+    out, total = [0, 0], 0
+    for c in range(2, X + 1):
+        total += sum(
+            1
+            for a in range(1, c if ordered else c // 2 + 1)
+            if gcd(a, c) == 1 and (rads[a] * rads[c - a] * rads[c]) ** q < c**p
+        )
+        out.append(total)
+    return out
+
+
+def test_ca_matches_a_naive_loop():
+    # every X <= 150 reaches the mirror pair (1, 1, 2) and every row's
+    # prefilter threshold; a prefilter that drops a passing pair shows here
+    lams = (F(0), F(1, 2), F(9, 10), F(1), F(11, 10), F(3, 2), F(2), F(3))
+    for lam in lams:
+        for ordered in (True, False):
+            want = _exceptional_naive(150, lam, ordered)[1:]
+            got = [count_exceptional_triples(X, lam, ordered=ordered).count
+                   for X in range(1, 151)]
+            assert got == want, (lam, ordered)
+
+
+def test_exceptional_counts_pinned():
+    # (X, lam): (ordered, unordered), both strategies
+    pins = {
+        (4000, F(9, 10)): (56, 28),
+        (2000, F(3, 2)): (3469, 1735),
+        (1500, F(2)): (44005, 22003),
+        (10000, F(1)): (242, 121),
+    }
+    for (X, lam), want in pins.items():
+        for strategy in ("ca", "ab"):
+            got = tuple(
+                count_exceptional_triples(X, lam, ordered=ordered, strategy=strategy).count
+                for ordered in (True, False)
+            )
+            assert got == want, (X, lam, strategy)
+
+
 def _small_radical_candidates(X, lam):
     """Brute force: the (c, n) with n < c <= X the 'ab' walk visits."""
     p, q = lam.numerator, lam.denominator
