@@ -122,29 +122,6 @@ class ExponentConfiguration:
     def totals(self) -> tuple[Fraction, Fraction, Fraction]:
         return self.total("a"), self.total("b"), self.total("c")
 
-    # Deviations of each entry sum from 1/3, and their combinations.
-
-    def slack(self, name: str) -> Fraction:
-        """1/3 - Sum(vector): positive when the vector runs light."""
-        return Fraction(1, 3) - self.total(name)
-
-    @property
-    def slack_ab(self) -> Fraction:
-        return self.slack("a") + self.slack("b")
-
-    @property
-    def slack_ac(self) -> Fraction:
-        return self.slack("a") + self.slack("c")
-
-    @property
-    def slack_bc(self) -> Fraction:
-        return self.slack("b") + self.slack("c")
-
-    @property
-    def slack_total(self) -> Fraction:
-        """1 - (sum of all three entry sums)."""
-        return self.slack("a") + self.slack("b") + self.slack("c")
-
     @property
     def class_sums(self) -> tuple[Fraction, ...]:
         """s_i = a_i + b_i + c_i."""

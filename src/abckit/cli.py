@@ -166,14 +166,24 @@ def _default_budget(args) -> int | None:
     return None
 
 
+def _doc_field(doc, key: str, kind: type, where: str):
+    """doc[key], refused unless it is a JSON value of type kind (int or list)."""
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise _CliError("bad-file", f"{where}: {key!r} must be a JSON {kind.__name__}, "
+                        f"got {json.dumps(value)}")
+    return value
+
+
 def _config_from_doc(doc, where: str) -> ExponentConfiguration:
     if not isinstance(doc, dict):
         raise _CliError("bad-file", f"{where}: expected a JSON object")
     try:
-        d = int(doc["d"])
+        d = _doc_field(doc, "d", int, where)
         vecs = {}
         for name in ("a", "b", "c"):
-            vecs[name] = tuple(parse_rational(str(x)) for x in doc[name])
+            vals = _doc_field(doc, name, list, where)
+            vecs[name] = tuple(parse_rational(str(x)) for x in vals)
         delta = parse_rational(str(doc.get("delta", "0")))
         epsilon = parse_rational(str(doc.get("epsilon", "0")))
     except KeyError as exc:
@@ -300,29 +310,22 @@ def _box_from_doc(doc, where: str) -> BoxSpec:
     if not isinstance(doc, dict):
         raise _CliError("bad-file", f"{where}: expected a JSON object")
     try:
-        anchors = {
-            key: tuple(parse_rational(str(x)) for x in doc[key])
+        anchors = [
+            tuple(parse_rational(str(x)) for x in _doc_field(doc, key, list, where))
             for key in ("X", "Y", "Z")
-        }
+        ]
         # "c" is the documented key; "coefficients" accepted as an alias
-        coeffs = tuple(int(c) for c in doc.get("c", doc.get("coefficients")))
-    except TypeError:
-        raise _CliError("bad-file", f"{where}: missing key 'c'")
-    except KeyError as exc:
-        raise _CliError("bad-file", f"{where}: missing key {exc.args[0]!r}")
-    except ValueError as exc:
-        raise _CliError("bad-file", f"{where}: {exc}")
-    try:
+        key = "coefficients" if "c" not in doc and "coefficients" in doc else "c"
         a_exp = doc.get("A")
         return BoxSpec(
-            d=int(doc["d"]),
-            coefficients=coeffs,  # type: ignore[arg-type]
-            X=anchors["X"], Y=anchors["Y"], Z=anchors["Z"],
+            d=_doc_field(doc, "d", int, where),
+            coefficients=tuple(int(c) for c in _doc_field(doc, key, list, where)),
+            X=anchors[0], Y=anchors[1], Z=anchors[2],
             A=None if a_exp is None else parse_rational(str(a_exp)),
         )
     except KeyError as exc:
         raise _CliError("bad-file", f"{where}: missing key {exc.args[0]!r}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a coefficient like null
         raise _CliError("bad-file", f"{where}: {exc}")
 
 

@@ -1,19 +1,16 @@
 """Feasible-region machinery: constraint checking, sampling, and the
 falsification search for the 0.66 exponent threshold.
 
-The feasible region lives in the space of ExponentConfigurations.  Writing
-T_a, T_b, T_c for the entry sums, the defining constraints are
-
-  C1  weighted sums:  sum(i * a_i) <= 1,  sum(i * b_i) <= 1,
-                      1 - eps^2 <= sum(i * c_i) <= 1
-  C2  pairwise totals:  T_u + T_v >= 0.66 - eps^2  for each pair
-  C3  grand total:      T_a + T_b + T_c <= 1 + delta - eps
-  C4  each total:       0.32 - delta <= T_v <= 0.34 + delta - eps/2
-
-plus derived ranges R1-R3 on the deviations from 1/3 (reported, but not
-part of feasibility).  Everything is exact; the sampler works on an
-integer lattice (entries are multiples of 1/scale) so window membership
-is plain integer comparison and results are reproducible bit for bit.
+The feasible region lives in the space of ExponentConfigurations.  Its
+constraints are the rows of one table, ROWS: each row is a linear form in
+the entry sums T_v and the weighted sums W_v = sum(i * v_i), a sense, and
+a right-hand side in (delta, epsilon).  C1-C4 (weighted sums, pairwise
+totals, grand total, each total) define feasibility; R1-R3 restate the
+totals as deviations from 1/3 and are reported only.  check_constraints
+evaluates every row exactly on Fractions; the sampler rounds the C rows
+inward onto an integer lattice (entries are multiples of 1/scale) so
+window membership is plain integer comparison and results are
+reproducible bit for bit.
 
 maximize_nu is a falsification search, not a proof: it samples the region
 (including targeted corner generators near the tight boundary structures),
@@ -24,15 +21,16 @@ managed to find.  A certified supremum over the polytope is out of scope.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import (
     EXTENDED_METHOD,
     METHOD_NAMES,
+    VECTOR_NAMES,
     ExponentConfiguration,
     best_bound,
     fast_best,
@@ -44,17 +42,12 @@ F = Fraction
 
 BASE_GRID = 3_000_000  # divisible by every denominator the windows use
 
-# Exact window constants.
-TOTAL_LOW = F(8, 25)  # 0.32
-TOTAL_HIGH = F(17, 50)  # 0.34
-PAIR_LOW = F(33, 50)  # 0.66
-GRAND_CAP = F(1)
-SLACK_LOW = F(-1, 150)  # -0.00666...
-SLACK_HIGH = F(1, 75)  # 0.01333...
-PAIR_SLACK_HIGH = F(1, 150)
-TOTAL_SLACK_HIGH = F(1, 100)
-
 DEFAULT_THRESHOLD = F(33, 50)
+
+# Boundaries of the case split that the corner generators aim at; neither
+# is a row of the table: s_1 + s_2 <= 0.34 + delta, and a_3 = 0.32.
+S12_CAP = F(17, 50)
+A3_HINGE = F(8, 25)
 
 
 def _ceil(x: Fraction) -> int:
@@ -63,6 +56,70 @@ def _ceil(x: Fraction) -> int:
 
 def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
+
+
+# --- the constraint table ----------------------------------------------------
+
+SUM, WEIGHTED = "sum", "weighted"
+
+
+@dataclass(frozen=True)
+class Row:
+    """One linear inequality: the terms named by coeffs, compared by sense
+    (">=", "<=" or strict "<") with rhs(delta, epsilon).  coeffs holds one
+    entry per vector (a, b, c): None, SUM (T_v) or WEIGHTED (W_v)."""
+
+    name: str
+    coeffs: tuple[str | None, ...]
+    sense: str
+    rhs: Callable[[Fraction, Fraction], Fraction]
+
+    @property
+    def terms(self) -> tuple[int, ...]:
+        """Positions of the row's terms in (T_a, T_b, T_c, W_a, W_b, W_c)."""
+        return tuple(i + 3 * (k == WEIGHTED) for i, k in enumerate(self.coeffs) if k)
+
+
+def _rows(family: str, kind: str, groups: Sequence[str], *sides) -> list[Row]:
+    """For each group of vectors (like "ab") and each (side, sense, rhs), the
+    row family-group-side over the group's terms of the given kind."""
+    return [
+        Row("-".join(filter(None, (family, g, side))),
+            tuple(kind if v in g else None for v in VECTOR_NAMES), sense, rhs)
+        for g in groups
+        for side, sense, rhs in sides
+    ]
+
+
+ROWS: tuple[Row, ...] = (
+    # C1: W_a <= 1, W_b <= 1, 1 - eps^2 <= W_c <= 1
+    *_rows("C1-weighted", WEIGHTED, "ab", ("", "<=", lambda dl, ep: F(1))),
+    *_rows("C1-weighted", WEIGHTED, "c", ("upper", "<=", lambda dl, ep: F(1)),
+           ("lower", ">=", lambda dl, ep: 1 - ep * ep)),
+    # C2: T_u + T_v >= 0.66 - eps^2 for each pair
+    *_rows("C2", SUM, ("ab", "ac", "bc"),
+           ("", ">=", lambda dl, ep: F(33, 50) - ep * ep)),
+    # C3: T_a + T_b + T_c <= 1 + delta - eps
+    Row("C3-grand-total", (SUM,) * 3, "<=", lambda dl, ep: 1 + dl - ep),
+    # C4: 0.32 - delta <= T_v <= 0.34 + delta - eps/2
+    *_rows("C4", SUM, "abc", ("lower", ">=", lambda dl, ep: F(8, 25) - dl),
+           ("upper", "<=", lambda dl, ep: F(17, 50) + dl - ep / 2)),
+    # R1: -1/150 - delta <= 1/3 - T_v <= 1/75 + delta + eps
+    *_rows("R1", SUM, "abc", ("lower", "<=", lambda dl, ep: F(17, 50) + dl),
+           ("upper", ">=", lambda dl, ep: F(8, 25) - dl - ep)),
+    # R2: (1/3 - T_u) + (1/3 - T_v) <= 1/150 + eps^2 for each pair
+    *_rows("R2", SUM, ("ab", "ac", "bc"),
+           ("", ">=", lambda dl, ep: F(33, 50) - ep * ep)),
+    # R3: -delta < 1 - (T_a + T_b + T_c) <= 1/100 + eps
+    Row("R3-lower", (SUM,) * 3, "<", lambda dl, ep: 1 + dl),
+    Row("R3-upper", (SUM,) * 3, ">=", lambda dl, ep: F(99, 100) - ep),
+)
+FEASIBILITY_ROWS = tuple(row for row in ROWS if row.name.startswith("C"))
+_ROW = {row.name: row for row in ROWS}
+
+
+def _weighted(vec: Sequence) -> int | Fraction:
+    return sum(i * x for i, x in enumerate(vec, start=1))
 
 
 @dataclass(frozen=True)
@@ -80,7 +137,6 @@ class ConstraintRecord:
 class ConstraintReport:
     """All constraint evaluations for one configuration."""
 
-    lam: Fraction
     records: tuple[ConstraintRecord, ...]
 
     @property
@@ -95,53 +151,19 @@ class ConstraintReport:
         raise KeyError(name)
 
 
-def check_constraints(
-    cfg: ExponentConfiguration, lam: Fraction = F(1)
-) -> ConstraintReport:
-    """Evaluate C1-C4 and R1-R3 exactly; feasibility is C1-C4.
-
-    lam is recorded for reporting only -- it enters the analysis through
-    delta (lam < 1 + delta - eps), which the configuration already carries.
-    """
-    lam = F(lam)
-    dl, ep = cfg.delta, cfg.epsilon
-    recs: list[ConstraintRecord] = []
-
-    def add(name, slack, strict=False):
+def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
+    """Evaluate every row of ROWS exactly; feasibility is C1-C4."""
+    vecs = (cfg.a, cfg.b, cfg.c)
+    vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
+    recs = []
+    for row in ROWS:
+        lhs = sum(vals[i] for i in row.terms)
+        rhs = row.rhs(cfg.delta, cfg.epsilon)
+        slack = lhs - rhs if row.sense == ">=" else rhs - lhs
+        strict = row.sense == "<"
         ok = slack > 0 if strict else slack >= 0
-        recs.append(ConstraintRecord(name, ok, slack, strict))
-
-    weighted = {
-        name: sum(
-            (i * x for i, x in enumerate(cfg.vector(name), start=1)), F(0)
-        )
-        for name in ("a", "b", "c")
-    }
-    add("C1-weighted-a", 1 - weighted["a"])
-    add("C1-weighted-b", 1 - weighted["b"])
-    add("C1-weighted-c-upper", 1 - weighted["c"])
-    add("C1-weighted-c-lower", weighted["c"] - (1 - ep * ep))
-    ta, tb, tc = cfg.totals
-    pair_low = PAIR_LOW - ep * ep
-    add("C2-ab", ta + tb - pair_low)
-    add("C2-ac", ta + tc - pair_low)
-    add("C2-bc", tb + tc - pair_low)
-    add("C3-grand-total", (GRAND_CAP + dl - ep) - (ta + tb + tc))
-    lo, hi = TOTAL_LOW - dl, TOTAL_HIGH + dl - ep / 2
-    for name, t in zip(("a", "b", "c"), (ta, tb, tc)):
-        add(f"C4-{name}-lower", t - lo)
-        add(f"C4-{name}-upper", hi - t)
-    for name in ("a", "b", "c"):
-        sl = cfg.slack(name)
-        add(f"R1-{name}-lower", sl - (SLACK_LOW - dl))
-        add(f"R1-{name}-upper", (SLACK_HIGH + dl + ep) - sl)
-    pair_slack_hi = PAIR_SLACK_HIGH + ep * ep
-    add("R2-ab", pair_slack_hi - cfg.slack_ab)
-    add("R2-ac", pair_slack_hi - cfg.slack_ac)
-    add("R2-bc", pair_slack_hi - cfg.slack_bc)
-    add("R3-lower", cfg.slack_total + dl, strict=True)
-    add("R3-upper", (TOTAL_SLACK_HIGH + ep) - cfg.slack_total)
-    return ConstraintReport(lam=lam, records=tuple(recs))
+        recs.append(ConstraintRecord(row.name, ok, slack, strict))
+    return ConstraintReport(tuple(recs))
 
 
 # --- integer-lattice windows -----------------------------------------------
@@ -149,9 +171,11 @@ def check_constraints(
 
 @dataclass(frozen=True)
 class _Windows:
-    """All feasibility thresholds, scaled to integers on the lattice."""
+    """The C rows on the lattice: `rows` holds (terms, is_lower, bound) per
+    row, and the named fields are the bounds the generators read."""
 
     scale: int
+    rows: tuple[tuple[tuple[int, ...], bool, int], ...]
     tot_lo: int
     tot_hi: int
     pair_lo: int
@@ -169,48 +193,37 @@ class _Windows:
 
 
 def _windows_for(d: int, delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     dl, ep = F(delta), F(epsilon)
-    bounds = [
-        TOTAL_LOW - dl,
-        TOTAL_HIGH + dl - ep / 2,
-        PAIR_LOW - ep * ep,
-        GRAND_CAP + dl - ep,
-        1 - ep * ep,
-    ]
-    if grid is None:
-        scale = lcm(BASE_GRID, *(b.denominator for b in bounds))
-    else:
-        scale = grid
+    rhs = [row.rhs(dl, ep) for row in FEASIBILITY_ROWS]
+    scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
+    # each bound rounded inward (no C row is strict): an integer lhs meets
+    # the rounded bound iff it meets the rhs
+    bound = {
+        row.name: _ceil(x * scale) if row.sense == ">=" else _floor(x * scale)
+        for row, x in zip(FEASIBILITY_ROWS, rhs)
+    }
     return _Windows(
         scale=scale,
-        tot_lo=_ceil(bounds[0] * scale),
-        tot_hi=_floor(bounds[1] * scale),
-        pair_lo=_ceil(bounds[2] * scale),
-        grand_hi=_floor(bounds[3] * scale),
-        wc_lo=_ceil(bounds[4] * scale),
-        w_hi=scale,
+        rows=tuple((r.terms, r.sense == ">=", bound[r.name]) for r in FEASIBILITY_ROWS),
+        tot_lo=bound["C4-a-lower"],
+        tot_hi=bound["C4-a-upper"],
+        pair_lo=bound["C2-ab"],
+        grand_hi=bound["C3-grand-total"],
+        wc_lo=bound["C1-weighted-c-lower"],
+        w_hi=bound["C1-weighted-a"],
     )
-
-
-def _weighted(vec: Sequence[int]) -> int:
-    return sum(i * x for i, x in enumerate(vec, start=1))
 
 
 def _vectors_feasible(win: _Windows, vecs) -> bool:
     """Full integer feasibility re-check (used after hill-climb moves)."""
-    ta, tb, tc = (sum(v) for v in vecs)
-    if not (win.tot_lo <= ta <= win.tot_hi):
-        return False
-    if not (win.tot_lo <= tb <= win.tot_hi):
-        return False
-    if not (win.tot_lo <= tc <= win.tot_hi):
-        return False
-    if not win.totals_ok(ta, tb, tc):
-        return False
-    if _weighted(vecs[0]) > win.w_hi or _weighted(vecs[1]) > win.w_hi:
-        return False
-    wc = _weighted(vecs[2])
-    return win.wc_lo <= wc <= win.w_hi
+    vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
+    for terms, is_lower, bound in win.rows:
+        lhs = sum(vals[i] for i in terms)
+        if lhs < bound if is_lower else lhs > bound:
+            return False
+    return True
 
 
 def _skeleton(total: int, target_w: int, lo_idx: int, hi_idx: int, d: int) -> list[int]:
@@ -221,7 +234,8 @@ def _skeleton(total: int, target_w: int, lo_idx: int, hi_idx: int, d: int) -> li
     extra = target_w - lo_idx * total
     span = hi_idx - lo_idx
     if span == 0:
-        assert extra == 0, "weighted target out of reach at a single index"
+        if extra != 0:
+            raise RuntimeError("weighted target out of reach at a single index")
         x[lo_idx - 1] = total
         return x
     q, rem = divmod(extra, span)
@@ -392,7 +406,7 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
         s1u, s2u = s1 * scale, s2 * scale
         if s1u.denominator == 1 and s2u.denominator == 1:
             targets.append((s1u.numerator, s2u.numerator))
-    cap = TOTAL_HIGH + delta  # s1 + s2 boundary from the case split
+    cap = S12_CAP + delta
     capu = cap * scale
     if capu.denominator == 1:
         for s1_frac in (F(1, 40), F(49, 800), F(1, 10)):
@@ -404,7 +418,7 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
         if trip is not None:
             out.append(trip)
     # a_3 pinned at 0.32: the S1/S2 hinge
-    a3 = TOTAL_LOW * scale
+    a3 = A3_HINGE * scale
     if a3.denominator == 1 and d >= 3:
         a3u = a3.numerator
         for _ in range(8):
@@ -460,14 +474,16 @@ def corner_config(
     if trip is None:
         return None
     cfg = _to_config(trip, scale, dl, ep, d)
-    assert check_constraints(cfg).feasible
+    if not check_constraints(cfg).feasible:
+        raise RuntimeError("corner configuration violates C1-C4")
     return cfg
 
 
 def _provably_empty(d: int, delta: Fraction, epsilon: Fraction) -> bool:
-    """The weighted-capacity argument: sum(i * c_i) <= d * T_c <= d * C4-max,
-    which cannot reach 1 - eps^2 at small d."""
-    return d * (TOTAL_HIGH + delta - epsilon / 2) < 1 - epsilon * epsilon
+    """The weighted-capacity argument: W_c <= d * T_c <= d * (C4-c-upper's
+    bound), which cannot reach C1-weighted-c-lower's bound at small d."""
+    cap = _ROW["C4-c-upper"].rhs(delta, epsilon)
+    return d * cap < _ROW["C1-weighted-c-lower"].rhs(delta, epsilon)
 
 
 def sample_feasible(
@@ -738,7 +754,8 @@ def maximize_nu(
     num, den, vecs = best
     argmax = _to_config(vecs, win.scale, dl, ep, d)
     maximum = best_bound(argmax, methods=method_names).value
-    assert maximum == F(num, den), "fast path disagrees with canonical evaluator"
+    if maximum != F(num, den):
+        raise RuntimeError("fast path disagrees with canonical evaluator")
     return RegionSearchReport(
         **base_kwargs, strategy_mix=mix, samples=samples, feasible=feasible,
         maximum=maximum, argmax=argmax,
@@ -788,7 +805,7 @@ def explore_theta(
         raise ValueError("budget must be >= 1")
     dl, ep, lam = F(delta), F(epsilon), F(lam)
     method_names = _resolve_methods(methods)
-    lo, hi = PAIR_LOW - ep * ep, F(1)
+    lo, hi = _ROW["C2-ab"].rhs(dl, ep), F(1)
     sup = None
     argmax = None
     history: list[tuple[Fraction, bool]] = []

@@ -374,9 +374,6 @@ def test_config_accessors():
         [F(1, 10), F(1, 5)], [F(1, 20), F(1, 4)], [F(0), F(3, 10)], delta=F(1, 1000)
     )
     assert cfg.totals == (F(3, 10), F(3, 10), F(3, 10))
-    assert cfg.slack("a") == F(1, 3) - F(3, 10)
-    assert cfg.slack_ab == 2 * (F(1, 3) - F(3, 10))
-    assert cfg.slack_total == 1 - F(9, 10)
     assert cfg.class_sums == (F(3, 20), F(3, 4))
 
 

@@ -383,6 +383,26 @@ def test_exit_2_malformed_config(capsys, tmp_path):
     assert code == 2
     assert doc["error"]["kind"] == "bad-file"
     assert "0.5" in doc["error"]["message"]
+    # wrong JSON types are refused, not coerced
+    config = {"d": 2, "a": ["0", "0"], "b": ["0", "0"], "c": ["0", "0"]}
+    box = {"d": 1, "c": [1, 1, 1], "X": ["2"], "Y": ["2"], "Z": ["4"]}
+    for command, doc_in, message in [
+        ("bounds eval --config", {**config, "a": "10"}, "'a' must be a JSON list"),
+        ("bounds eval --config", {**config, "d": 2.7}, "'d' must be a JSON int"),
+        ("bounds eval --config", {**config, "d": True}, "'d' must be a JSON int"),
+        ("bounds eval --config", {**config, "d": "2"}, "'d' must be a JSON int"),
+        ("count bd --spec", {**box, "c": 5}, "'c' must be a JSON list"),
+        ("count bd --spec", {**box, "X": "2"}, "'X' must be a JSON list"),
+        ("count bd --spec", {**box, "d": 1.0}, "'d' must be a JSON int"),
+        ("count bd --spec", {**box, "c": [None, 1, 1]}, "'NoneType'"),
+        ("count bd --spec", {k: v for k, v in box.items() if k != "c"},
+         "missing key 'c'"),
+    ]:
+        bad.write_text(json.dumps(doc_in))
+        code, doc = run_json(capsys, *command.split(), str(bad))
+        assert code == 2, message
+        assert doc["error"]["kind"] == "bad-file", message
+        assert message in doc["error"]["message"], message
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,6 +470,8 @@ def test_exit_2_cover_search_too_deep(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("verify", "region", "--streams", "0"),
     ("verify", "region", "--streams", "-2"),
+    ("verify", "region", "--grid", "0"),
+    ("verify", "region", "--grid", "-12"),
     ("explore", "theta", "--streams", "0"),
     ("explore", "theta", "--rounds", "0"),
     ("explore", "theta", "--rounds", "-3"),

@@ -11,7 +11,11 @@ import pytest
 from abckit.bounds import ExponentConfiguration, best_bound
 from abckit.region import (
     RegionSearchReport,
+    _hill_steps,
     _randint,
+    _to_config,
+    _vectors_feasible,
+    _windows_for,
     check_constraints,
     corner_config,
     explore_theta,
@@ -142,6 +146,51 @@ def test_sampler_argument_errors():
         sample_feasible(2, MILLI, MILLI, 5, seed=0)
     with pytest.raises(ValueError):
         sample_feasible(6, MILLI, MILLI, 0, seed=0)
+    for grid in (0, -12):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            sample_feasible(6, F(0), F(0), 5, seed=0, grid=grid)
+
+
+def _hill_moves(vecs, steps):
+    """Every single-step move the hill climb can make from vecs, feasible
+    or not: mass between two classes of one vector, or between two vectors
+    at one class."""
+    d = len(vecs[0])
+    for step in steps:
+        for vi in range(3):
+            for i in range(d):
+                for j in range(d):
+                    lv = [list(v) for v in vecs]
+                    m = min(step, lv[vi][i])
+                    lv[vi][i] -= m
+                    lv[vi][j] += m
+                    yield tuple(tuple(v) for v in lv)
+        for ui in range(3):
+            for vi in range(3):
+                for i in range(d):
+                    lv = [list(v) for v in vecs]
+                    m = min(step, lv[ui][i])
+                    lv[ui][i] -= m
+                    lv[vi][i] += m
+                    yield tuple(tuple(v) for v in lv)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_fraction_and_lattice_feasibility_agree(d):
+    # check_constraints (Fractions) and _vectors_feasible (lattice integers)
+    # must agree on sampled points and on every hill-climb move from them
+    win = _windows_for(d, MILLI, MILLI, None)
+    seen = set()
+    for cfg in sample_feasible(d, MILLI, MILLI, 3, seed=d):
+        vecs = tuple(
+            tuple(int(x * win.scale) for x in cfg.vector(v)) for v in "abc"
+        )
+        for cand in (vecs, *_hill_moves(vecs, _hill_steps(win.scale))):
+            point = _to_config(cand, win.scale, MILLI, MILLI, d)
+            feasible = check_constraints(point).feasible
+            assert feasible == _vectors_feasible(win, cand), cand
+            seen.add(feasible)
+    assert seen == {True, False}
 
 
 def test_corner_config_hits_class_sums():
