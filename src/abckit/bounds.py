@@ -63,15 +63,11 @@ METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
 EXHAUSTIVE_LIMIT = 12  # most classes geometry_bound(mode="exhaustive") takes
-# most items (nonzero entries of class >= 2) the cover search takes: it
-# recurses once per item, and this stays clear of the default recursion
-# limit of 1000 with room for the caller's frames
-COVER_ITEM_LIMIT = 750
 
 
 class SubsetSearchRefusal(ValueError):
-    """Geometry subset search refused: too many power classes for the
-    exhaustive enumeration, or too many items for the cover search."""
+    """Exhaustive geometry subset search refused: too many power classes
+    for the full enumeration."""
 
 
 def _rat_tuple(values: Iterable[Rat]) -> tuple[Fraction, ...]:
@@ -277,15 +273,10 @@ def _cover_exhaustive(entries: Sequence[tuple[int, ...]], target: int):
     return best, best_masks
 
 
-class _Reached(Exception):
-    """Ends a cover search whose incumbent has reached its stop_at value."""
-
-
 def _cover_branch_bound(
     entries: Sequence[tuple[int, ...]],
     target: int,
     *,
-    track: bool = True,
     stop_at: int | None = None,
 ):
     """Same minimum as _cover_exhaustive, by branch-and-bound.
@@ -295,7 +286,10 @@ def _cover_branch_bound(
     u = i v.  The others are searched depth first in rate order (class,
     then larger coverage first), taking an item before skipping it; a
     node whose deficit rem is covered (rem <= 0) or whose items have run
-    out is a leaf worth cost + max(rem, 0).
+    out is a leaf worth cost + max(rem, 0).  The search keeps its open
+    nodes on an explicit stack, the skip child pushed under the take
+    child, so its depth is not bounded by the interpreter's recursion
+    limit.
 
     Every completion of a node with cost C and deficit rem > 0 either
     takes some remaining item with u >= rem, and costs at least C plus
@@ -307,8 +301,7 @@ def _cover_branch_bound(
     first item, is at most both and is tested first; the O(n) scan joins
     it only once the search has passed 4n nodes, so small searches pay
     nothing for it.  The search runs to exhaustion, so the result is the
-    certified optimum.  ``track=False`` skips witness bookkeeping for
-    bulk-search callers.
+    certified optimum.
 
     A new incumbent needs a leaf strictly below the current one, and a
     pruned subtree holds none, so every admissible bound visits the same
@@ -338,11 +331,6 @@ def _cover_branch_bound(
     deficit = target - base_cover
     if deficit <= 0 or not items:
         return max(deficit, 0), tuple(taken_masks)
-    if len(items) > COVER_ITEM_LIMIT:
-        raise SubsetSearchRefusal(
-            f"cover search over {len(items)} items (nonzero entries of class "
-            f">= 2) exceeds the limit {COVER_ITEM_LIMIT}"
-        )
     # A class-i item costs w = (i - 1) v for u = i v of coverage: its rate
     # w/u = (i - 1)/i grows with the class and stays below 1, the rate of
     # leaving deficit uncovered.  So sorting by class is cheapest-rate-first
@@ -376,30 +364,25 @@ def _cover_branch_bound(
                     left = 0
         return not left or fill + left >= budget
 
-    def dfs(k: int, cost: int, rem: int, chosen: tuple[int, ...]):
-        nonlocal best_cost, best_sets, nodes
+    stack = [(0, 0, deficit, ())] if deficit > stop else []
+    while stack:
+        k, cost, rem, chosen = stack.pop()
         if rem <= 0 or k == n:
             total = cost + (rem if rem > 0 else 0)
             if total < best_cost:
                 best_cost, best_sets = total, chosen
                 if total <= stop:
-                    raise _Reached
-            return
+                    break
+            continue
         i, w, u, _, _ = items[k]
         # cost + rem * (i - 1)/i >= best_cost, in integers
         if cost * i + rem * (i - 1) >= best_cost * i:
-            return
+            continue
         nodes += 1
         if nodes > scan_after and prunable(k, best_cost - cost, rem):
-            return
-        dfs(k + 1, cost + w, rem - u, chosen + (k,) if track else chosen)
-        dfs(k + 1, cost, rem, chosen)
-
-    if deficit > stop:
-        try:
-            dfs(0, 0, deficit, ())
-        except _Reached:
-            pass
+            continue
+        stack.append((k + 1, cost, rem, chosen))
+        stack.append((k + 1, cost + w, rem - u, chosen + (k,)))
     masks = list(taken_masks)
     for k in best_sets:
         _, _, _, vi, ei = items[k]
@@ -411,17 +394,12 @@ def _mask_to_classes(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _geometry(vecs, dn, scale, *, exhaustive: bool = False, track: bool = True):
-    """The geometry core; without track the witness is None."""
-    if exhaustive:
-        cover, masks = _cover_exhaustive(vecs, scale)
-    else:
-        cover, masks = _cover_branch_bound(vecs, scale, track=track)
-    witness = None
-    if track:
-        witness = {
-            key: _mask_to_classes(mask) for key, mask in zip(("I", "Ip", "Ipp"), masks)
-        }
+def _geometry(vecs, dn, scale, *, exhaustive: bool = False):
+    search = _cover_exhaustive if exhaustive else _cover_branch_bound
+    cover, masks = search(vecs, scale)
+    witness = {
+        key: _mask_to_classes(mask) for key, mask in zip(("I", "Ip", "Ipp"), masks)
+    }
     return dn + cover, scale, witness
 
 
@@ -507,7 +485,7 @@ def geometry_bound(
     W weights each selected entry by its class index; S is the plain sum.
     Both modes return the certified optimum; 'exhaustive' enumerates all
     2**(3d) subset triples and refuses when d exceeds EXHAUSTIVE_LIMIT, and
-    branch-and-bound refuses more than COVER_ITEM_LIMIT items.
+    branch-and-bound takes any d.
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -529,6 +507,21 @@ EVALUATORS = {
     EXTENDED_METHOD: extended_fourier_bound,
 }
 
+
+def resolve_methods(methods: Sequence[str] | None) -> tuple[str, ...]:
+    """The method names to run: METHOD_NAMES by default, else the given
+    names, refused when empty or when one is not an EVALUATORS key."""
+    if methods is None:
+        return METHOD_NAMES
+    names = tuple(methods)
+    if not names:
+        raise ValueError("methods must not be empty")
+    for name in names:
+        if name not in EVALUATORS:
+            raise ValueError(f"unknown method {name!r}")
+    return names
+
+
 # best_bound looks each evaluator up by its module attribute at call time,
 # so a wrapper installed on abckit.bounds.<m>_bound sees every call
 _EVALUATOR_ATTRS = {name: fn.__name__ for name, fn in EVALUATORS.items()}
@@ -543,15 +536,9 @@ def best_bound(
     extended-fourier may be listed too).  Ties go to the method listed first.
 
     The witness names the winning method and holds that method's witness.
-    Geometry runs its branch-and-bound search; a refusal there (too many
-    items) propagates.
+    Geometry runs its branch-and-bound search.
     """
-    names = METHOD_NAMES if methods is None else tuple(methods)
-    if not names:
-        raise ValueError("methods must not be empty")
-    for name in names:
-        if name not in EVALUATORS:
-            raise ValueError(f"unknown method {name!r}")
+    names = resolve_methods(methods)
     best = None
     for name in names:
         rep = globals()[_EVALUATOR_ATTRS[name]](cfg)
@@ -619,13 +606,6 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
 # --- bulk search on a caller's grid --------------------------------------------
 
 
-def _run(name: str, vecs, dn, scale):
-    """A core's (num, den, witness); geometry skips its witness bookkeeping."""
-    if name == "geometry":
-        return _geometry(vecs, dn, scale, track=False)
-    return _CORES[name](vecs, dn, scale)
-
-
 def _determinant_floor(vecs, dn, scale):
     """A lower bound on the determinant core's value in O(d):
     min(u_p/q, v_q/p) >= 0, so every term is at least 1 + delta minus the
@@ -663,7 +643,7 @@ def _geometry_below(vecs, dn, scale, names, floor, values):
         else:
             num, den, _ = values[name] = _CORES[name](vecs, dn, scale)
         limit = min(limit, cap(num, den, not after))
-    cover, _ = _cover_branch_bound(vecs, scale, track=False, stop_at=limit)
+    cover, _ = _cover_branch_bound(vecs, scale, stop_at=limit)
     if cover <= limit:
         return dn + cover, scale, "geometry"
     values["geometry"] = (dn + cover, scale, None)
@@ -699,7 +679,7 @@ def fast_best(
             return hit
     best = None  # (num, den, name)
     for name in names:
-        num, den, _ = values.get(name) or _run(name, vecs, delta_num, scale)
+        num, den, _ = values.get(name) or _CORES[name](vecs, delta_num, scale)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, name)
     return best

@@ -166,13 +166,17 @@ def _default_budget(args) -> int | None:
     return None
 
 
-def _doc_field(doc, key: str, kind: type, where: str):
-    """doc[key], refused unless it is a JSON value of type kind (int or list)."""
-    value = doc[key]
+def _json_value(value, kind: type, what: str, where: str):
+    """value, refused unless it is a JSON value of type kind (int or list)."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise _CliError("bad-file", f"{where}: {key!r} must be a JSON {kind.__name__}, "
+        raise _CliError("bad-file", f"{where}: {what} must be a JSON {kind.__name__}, "
                         f"got {json.dumps(value)}")
     return value
+
+
+def _doc_field(doc, key: str, kind: type, where: str):
+    """doc[key], refused unless it is a JSON value of type kind."""
+    return _json_value(doc[key], kind, repr(key), where)
 
 
 def _config_from_doc(doc, where: str) -> ExponentConfiguration:
@@ -319,13 +323,16 @@ def _box_from_doc(doc, where: str) -> BoxSpec:
         a_exp = doc.get("A")
         return BoxSpec(
             d=_doc_field(doc, "d", int, where),
-            coefficients=tuple(int(c) for c in _doc_field(doc, key, list, where)),
+            coefficients=tuple(
+                _json_value(c, int, f"{key!r} entry", where)
+                for c in _doc_field(doc, key, list, where)
+            ),
             X=anchors[0], Y=anchors[1], Z=anchors[2],
             A=None if a_exp is None else parse_rational(str(a_exp)),
         )
     except KeyError as exc:
         raise _CliError("bad-file", f"{where}: missing key {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:  # TypeError: a coefficient like null
+    except ValueError as exc:
         raise _CliError("bad-file", f"{where}: {exc}")
 
 

@@ -2,7 +2,7 @@
 
 The radical rad(n) is the product of the distinct primes dividing n, with
 rad(1) = 1.  Everything here is exact: bulk work goes through a
-smallest-prime-factor sieve, and out-of-table arguments are fully factored
+smallest-prime-factor sieve, and a single argument is fully factored
 with trial division plus deterministic primality testing.  No probabilistic
 shortcut is ever allowed to decide a count: above the proven Miller-Rabin
 bound a prime cannot be certified here, so factorize refuses with
@@ -215,12 +215,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def radical(n: int, table: list[int] | None = None) -> int:
+def radical(n: int) -> int:
     """rad(n): the product of the distinct primes dividing n (rad(1) = 1)."""
     if n < 1:
         raise ValueError("radical requires n >= 1")
-    if table is not None and n < len(table):
-        return table[n]
     r = 1
     for p in factorize(n):
         r *= p

@@ -28,12 +28,11 @@ from random import Random
 from typing import Callable, Sequence
 
 from .bounds import (
-    EXTENDED_METHOD,
-    METHOD_NAMES,
     VECTOR_NAMES,
     ExponentConfiguration,
     best_bound,
     fast_best,
+    resolve_methods,
 )
 from .cases import TRIANGLE_VERTICES
 from .exact import format_rational
@@ -655,19 +654,6 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
     return best, wins, feasible, evaluated, corner_count
 
 
-def _resolve_methods(methods) -> tuple[str, ...]:
-    if methods is None:
-        return METHOD_NAMES
-    names = tuple(methods)
-    allowed = set(METHOD_NAMES) | {EXTENDED_METHOD}
-    for m in names:
-        if m not in allowed:
-            raise ValueError(f"unknown method {m!r}")
-    if not names:
-        raise ValueError("methods must not be empty")
-    return names
-
-
 def maximize_nu(
     d: int,
     delta: Fraction,
@@ -695,7 +681,7 @@ def maximize_nu(
         raise ValueError("budget must be >= 1")
     if streams < 1:
         raise ValueError("streams must be >= 1")
-    method_names = _resolve_methods(methods)
+    method_names = resolve_methods(methods)
     base_kwargs = dict(
         d=d, delta=dl, epsilon=ep, lam=lam, threshold=threshold,
         budget=budget, seed=seed, streams=streams, methods=method_names,
@@ -804,7 +790,7 @@ def explore_theta(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     dl, ep, lam = F(delta), F(epsilon), F(lam)
-    method_names = _resolve_methods(methods)
+    method_names = resolve_methods(methods)
     lo, hi = _ROW["C2-ab"].rhs(dl, ep), F(1)
     sup = None
     argmax = None

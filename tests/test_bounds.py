@@ -540,13 +540,10 @@ def test_cover_branch_bound_returns_first_leaf_in_search_order():
         opt = min(value for value, _ in leaves)
         first_opt = next(leaf for leaf in leaves if leaf[0] == opt)
         assert _cover_branch_bound(entries, target) == first_opt, (entries, target)
-        assert _cover_branch_bound(entries, target, track=False)[0] == opt
         for stop_at in (opt - 1, opt, opt + 1, 10**9):
             want = next((leaf for leaf in leaves if leaf[0] <= stop_at), first_opt)
             got = _cover_branch_bound(entries, target, stop_at=stop_at)
             assert got == want, (entries, target, stop_at)
-            got = _cover_branch_bound(entries, target, track=False, stop_at=stop_at)
-            assert got[0] == want[0], (entries, target, stop_at)
 
 
 # The replay benchmark's fixed geometry input (bench/workloads.py): eight

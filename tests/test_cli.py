@@ -21,7 +21,6 @@ import pytest
 
 import abckit
 from abckit.bounds import (
-    COVER_ITEM_LIMIT,
     ExponentConfiguration,
     evaluate_at,
     geometry_bound,
@@ -394,7 +393,10 @@ def test_exit_2_malformed_config(capsys, tmp_path):
         ("count bd --spec", {**box, "c": 5}, "'c' must be a JSON list"),
         ("count bd --spec", {**box, "X": "2"}, "'X' must be a JSON list"),
         ("count bd --spec", {**box, "d": 1.0}, "'d' must be a JSON int"),
-        ("count bd --spec", {**box, "c": [None, 1, 1]}, "'NoneType'"),
+        ("count bd --spec", {**box, "c": [None, 1, 1]}, "'c' entry must be a JSON int"),
+        ("count bd --spec", {**box, "c": [1.5, 1, 1]}, "'c' entry must be a JSON int"),
+        ("count bd --spec", {**box, "c": ["1", 1, 1]}, "'c' entry must be a JSON int"),
+        ("count bd --spec", {**box, "c": [True, 1, 1]}, "'c' entry must be a JSON int"),
         ("count bd --spec", {k: v for k, v in box.items() if k != "c"},
          "missing key 'c'"),
     ]:
@@ -448,23 +450,29 @@ def test_exit_2_count_s_negative_exponent(capsys, flags):
 
 def _flat_config(d: int) -> dict:
     """Every entry 1/1200: the cover search takes all 3(d - 1) items of
-    class >= 2 in turn, one recursion level each."""
+    class >= 2 in turn, one search level each."""
     row = ["1/1200"] * d
     return {"d": d, "a": row, "b": row, "c": row}
 
 
-def test_exit_2_cover_search_too_deep(capsys, tmp_path):
-    # at the item limit the search still answers
-    assert 3 * (251 - 1) == COVER_ITEM_LIMIT
+def _geometry_value(capsys, tmp_path, config: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, doc = run_json(capsys, "bounds", "eval", "--config", str(path),
+                         "--method", "geometry")
+    assert code == 0, doc
+    return doc["reports"][0]["value"]
+
+
+def test_cover_search_takes_any_number_of_items(capsys, tmp_path):
     cfg = ExponentConfiguration(**_flat_config(251))
     assert geometry_bound(cfg).value == Fraction(1117, 1200)
-    # one class more is refused with an error object, not a RecursionError
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps(_flat_config(252)))
-    code, doc = run_json(capsys, "bounds", "eval", "--config", str(path))
-    assert code == 2
-    assert doc["error"]["kind"] == "invalid-argument"
-    assert f"exceeds the limit {COVER_ITEM_LIMIT}" in doc["error"]["message"]
+    # 753 items, each taken in turn: a search 753 levels deep
+    assert _geometry_value(capsys, tmp_path, _flat_config(252)) == "1117/1200"
+    # 2397 items, but a shallow search: class 1 empty, every other entry 1/2
+    row = ["0"] + ["1/2"] * 799
+    shallow = {"d": 800, "a": row, "b": row, "c": row}
+    assert _geometry_value(capsys, tmp_path, shallow) == "1/2"
 
 
 @pytest.mark.parametrize("argv", [

@@ -46,11 +46,11 @@ def test_table_matches_oracle():
         assert build_radical_table(limit) == want, limit
 
 
-def test_radical_uses_table_and_falls_back():
+def test_radical_agrees_with_table():
     table = build_radical_table(100)
-    assert radical(96, table) == 6
-    assert radical(101, table) == 101  # past the table: factored exactly
-    assert radical(10**6 + 3, table) == 10**6 + 3
+    assert [radical(n) for n in range(1, 101)] == table[1:]
+    assert radical(101) == 101  # past the table: factored exactly
+    assert radical(10**6 + 3) == 10**6 + 3
 
 
 def test_factorize_frozen():
