@@ -20,6 +20,9 @@ managed to find.  A certified supremum over the polytope is out of scope.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -654,6 +657,126 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
     return best, wins, feasible, evaluated, corner_count
 
 
+# --- running the streams on every usable core ---------------------------------
+
+_SIGKILL = 9  # POSIX; the signal module is not otherwise loaded
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(n: int) -> int:
+    """How many processes share n streams: one (this one) when fork is
+    missing or another thread is alive, since forking a threaded process
+    is unsafe; otherwise min(n, usable cores)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    return min(n, _usable_cores())
+
+
+def _spawn(task, ks) -> tuple[int, int]:
+    """Fork a worker that runs task(k) for each k in ks and writes the list
+    of results, marshalled, to a pipe; returns (pid, read end).  The worker
+    leaves through os._exit, so it never flushes inherited stdio or runs
+    atexit hooks, and exits 1 on any error."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            data = memoryview(marshal.dumps([task(k) for k in ks]))
+            while data:
+                data = data[os.write(wfd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, rfd
+
+
+def _collect(pid: int, rfd: int, count: int):
+    """Read a worker's results to the end and reap it; None unless it
+    exited 0 and sent exactly `count` results."""
+    chunks = []
+    while chunk := os.read(rfd, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitpid(pid, 0)[1]
+    try:
+        got = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError):  # a short or garbled reply
+        return None
+    return got if status == 0 and len(got) == count else None
+
+
+def _kill(kids: dict) -> None:
+    """Kill and reap every worker in kids, emptying it."""
+    while kids:
+        pid, rfd = kids.popitem()[1]
+        os.close(rfd)
+        try:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped by a _collect that was interrupted
+
+
+def _run_streams(task, n: int) -> list:
+    """[task(k) for k in range(n)], spread over _worker_count(n) processes.
+
+    This process runs streams 0, w, 2w, ...; forked worker j runs streams
+    j, j + w, ....  The streams are deterministic, so a worker that raises,
+    dies or sends a short reply has its streams re-run here, in stream
+    order, and an error surfaces as in a serial run: the first failing
+    stream's, with the same type and message.  So do the streams of a
+    worker that could not be forked.  If this process raises
+    (KeyboardInterrupt included), every worker is killed and reaped first.
+    """
+    w = _worker_count(n)
+    out = [None] * n
+    kids: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
+    failed: list[int] = []  # streams this process runs after its own
+    try:
+        for j in range(1, w):
+            try:
+                kids[j] = _spawn(task, range(j, n, w))
+            except OSError:  # no process or pipe to spare
+                failed.extend(range(j, n, w))
+        for k in range(0, n, w):
+            try:
+                out[k] = task(k)
+            except Exception:
+                _kill(kids)
+                for i in range(k):  # a serial run meets these streams first
+                    if i % w:
+                        task(i)
+                raise
+        for j in list(kids):
+            ks = range(j, n, w)
+            got = _collect(*kids[j], len(ks))
+            os.close(kids.pop(j)[1])
+            if got is None:
+                failed.extend(ks)
+            else:
+                for k, res in zip(ks, got):
+                    out[k] = res
+        for k in sorted(failed):
+            out[k] = task(k)
+        return out
+    finally:
+        _kill(kids)
+
+
 def maximize_nu(
     d: int,
     delta: Fraction,
@@ -672,8 +795,9 @@ def maximize_nu(
     `budget` counts sampling draws; hill-climbing adds ~15% more
     evaluations on top, from each stream's best sample, with steps
     1/100, 1/1000, 1/10000 projected back to feasibility.  The streams
-    run one after another, and the result is deterministic in
-    (parameters, seed, streams).
+    that draw are spread over the usable cores (forked workers, see
+    _run_streams) and merged in stream order, so the result is
+    deterministic in (parameters, seed, streams) whatever the core count.
     """
     dl, ep, lam = F(delta), F(epsilon), F(lam)
     threshold = F(threshold)
@@ -710,17 +834,21 @@ def maximize_nu(
         lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
         return empty(f"the C4 totals window [{lo}, {hi}] is empty")
     climbs_total = int(budget * _HILL_FRACTION)
-    per_draw = [budget // streams] * streams
-    per_draw[0] += budget % streams
-    per_climb = [climbs_total // streams] * streams
-    per_climb[0] += climbs_total % streams
+
+    def task(k: int):
+        # stream 0 also takes the remainders
+        draws = budget // streams + (0 if k else budget % streams)
+        climbs = climbs_total // streams + (0 if k else climbs_total % streams)
+        return _stream_task(win, d, seed, k, draws, climbs, method_names, dl)
+
+    # streams k >= 1 draw budget // streams each; with none they find
+    # nothing, (None, {}, 0, 0, 0), so only the streams that draw run
     best = None
     wins: dict[str, int] = {}
     feasible = samples = corners = 0
-    for k in range(streams):
-        sbest, swins, sfeas, seval, scorn = _stream_task(
-            win, d, seed, k, per_draw[k], per_climb[k], method_names, dl
-        )
+    for sbest, swins, sfeas, seval, scorn in _run_streams(
+        task, streams if budget >= streams else 1
+    ):
         feasible += sfeas
         samples += seval
         corners += scorn

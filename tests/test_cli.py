@@ -282,6 +282,25 @@ def test_verify_region_verdict_fail_exit_1(capsys):
     assert Fraction(doc["maximum"]) > Fraction(33, 50)
 
 
+def test_verify_region_huge_streams(capsys):
+    # only the streams that draw run: 10 samples over 10^9 streams is one
+    # stream's work, with no per-stream list, and the same report as 11
+    argv = ("verify", "region", "--d", "6", "--delta", "1/1000",
+            "--epsilon", "1/1000", "--samples", "10", "--streams")
+    tracemalloc.start()
+    try:
+        code, doc = run_json(capsys, *argv, "1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and doc["outcome"] == "ok"
+    assert peak < 10**6
+    code11, doc11 = run_json(capsys, *argv, "11")
+    assert code11 == 0
+    assert (doc.pop("streams"), doc11.pop("streams")) == (10**9, 11)
+    assert doc == doc11
+
+
 def test_explore_theta(capsys):
     code, doc = run_json(capsys, "explore", "theta", "--d", "3",
                          "--delta", "1/1000", "--epsilon", "1/1000",

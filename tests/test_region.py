@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import abckit.region as region
 from abckit.bounds import ExponentConfiguration, best_bound
 from abckit.region import (
     RegionSearchReport,
@@ -281,3 +285,153 @@ def test_theta_exploration():
     assert rep.sup is not None and rep.sup >= F(33, 50) - F(1, 10**6)
     assert rep.theta_estimate == rep.sup
     assert best_bound(rep.argmax, methods=("trivial",)).value == rep.sup
+
+
+# --- the streams across forked workers -----------------------------------------
+
+
+def _count_forks(monkeypatch) -> list:
+    """Count this process's calls to os.fork from here on."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_changes_nothing(monkeypatch):
+    # the core count is the only input of the worker count besides the
+    # streams; forcing it to 1, 2 and 3 must leave every report unchanged
+    def reports():
+        out = [
+            maximize_nu(d, MILLI, MILLI, budget=240, seed=d + streams,
+                        streams=streams, methods=methods)
+            for d in (4, 6, 8)
+            for streams in (1, 3, 8)
+            for methods in (("trivial",), None)
+        ]
+        out.append(explore_theta(6, MILLI, MILLI, budget=600, seed=1,
+                                 rounds=3, streams=2))
+        return out
+
+    forks = _count_forks(monkeypatch)
+    runs = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(region, "_usable_cores", lambda: cores)
+        before = len(forks)
+        runs[cores] = reports()
+        _no_child_left()
+        # streams 1, 3, 8 per d and methods; theta's 3 rounds of 2 streams
+        per_search = sum(min(s, cores) - 1 for s in (1, 3, 8))
+        assert len(forks) - before == 6 * per_search + 3 * (min(2, cores) - 1)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+    assert all(rep.outcome == "ok" for rep in runs[1][:-1])
+
+
+def _failing_streams(monkeypatch, messages: dict):
+    """Make _stream_task raise RuntimeError(messages[stream]) for the
+    streams named in messages."""
+    real = region._stream_task
+
+    def task(win, d, seed, stream, *rest):
+        if stream in messages:
+            raise RuntimeError(messages[stream])
+        return real(win, d, seed, stream, *rest)
+
+    monkeypatch.setattr(region, "_stream_task", task)
+
+
+@pytest.mark.parametrize("messages", [
+    {5: "stream 5 broke"},  # a worker's stream at w = 2 and at w = 3
+    {1: "stream 1 broke", 6: "stream 6 broke"},  # a worker's and the parent's
+])
+def test_worker_error_surfaces_as_in_a_serial_run(monkeypatch, messages):
+    _failing_streams(monkeypatch, messages)
+    errors = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(region, "_usable_cores", lambda: cores)
+        with pytest.raises(RuntimeError) as info:
+            maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=8)
+        errors.append((type(info.value), str(info.value)))
+        _no_child_left()
+    assert errors == [(RuntimeError, messages[min(messages)])] * 3
+
+
+def _dies_in_workers(monkeypatch):
+    parent, real = os.getpid(), region._stream_task
+
+    def task(*args):
+        if os.getpid() != parent:
+            os._exit(0)  # exits cleanly without a reply
+        return real(*args)
+
+    monkeypatch.setattr(region, "_stream_task", task)
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("breakage", [_dies_in_workers, _fork_fails])
+def test_lost_worker_streams_run_here(monkeypatch, breakage):
+    monkeypatch.setattr(region, "_usable_cores", lambda: 1)
+    serial = maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=5)
+    breakage(monkeypatch)
+    monkeypatch.setattr(region, "_usable_cores", lambda: 3)
+    assert maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=5) == serial
+    _no_child_left()
+
+
+def test_interrupt_kills_the_workers(monkeypatch):
+    # the workers' streams would take a minute; the parent's first stream
+    # is interrupted at once, and every worker must be killed and reaped
+    def task(win, d, seed, stream, *rest):
+        if stream == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(region, "_stream_task", task)
+    monkeypatch.setattr(region, "_usable_cores", lambda: 3)
+    forks = _count_forks(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=8)
+    assert time.perf_counter() - t0 < 10
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_search_stays_serial_with_a_thread_alive(monkeypatch):
+    monkeypatch.setattr(region, "_usable_cores", lambda: 2)
+    forked = maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=4)
+
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert threading.active_count() > 1
+        serial = maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=4)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert serial == forked
