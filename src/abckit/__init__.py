@@ -64,10 +64,8 @@ from .radicals import (
 from .region import (
     ConstraintReport,
     RegionSearchReport,
-    ThetaReport,
     check_constraints,
     corner_config,
-    explore_theta,
     maximize_nu,
     sample_feasible,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "RegionSearchReport",
     "SubsetSearchRefusal",
     "TernaryQuery",
-    "ThetaReport",
     "TripleReduction",
     "best_bound",
     "box_for",
@@ -105,7 +102,6 @@ __all__ = [
     "dyadic_range",
     "evaluate_at",
     "exact_root",
-    "explore_theta",
     "extended_fourier_bound",
     "factorize",
     "format_rational",

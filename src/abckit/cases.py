@@ -21,7 +21,7 @@ that by failing when run at, say, delta = 1/10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 F = Fraction
@@ -54,11 +54,11 @@ class CaseCheck:
 class CaseCheckReport:
     delta: Fraction
     epsilon: Fraction
+    all_passed: bool = field(init=False)
     checks: tuple[CaseCheck, ...]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "all_passed", all(c.passed for c in self.checks))
 
     def check(self, name: str) -> CaseCheck:
         for c in self.checks:

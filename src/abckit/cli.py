@@ -2,7 +2,7 @@
 
 One subcommand per operation family: `rad`, `sieve`, `factorize`,
 `reduce-triple`, `count {nlambda|s|debruijn|bd|ternary}`, `bounds eval`,
-`verify {region|cases}`, `explore theta`.
+`verify {region|cases}`.
 
 Conventions, uniform across subcommands:
   * exactly one JSON document on stdout (CSV/table on request); anything
@@ -10,7 +10,8 @@ Conventions, uniform across subcommands:
   * rationals cross the boundary as "p/q" strings in both directions --
     decimals are rejected so exactness survives the round trip
   * identical argv produces byte-identical output (no timestamps, fixed
-    key order, deterministic seeds)
+    key order, deterministic seeds); a report is an object of its dataclass
+    fields in order, with `lam` written as `lambda`
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
     errors and budget refusals, which emit a machine-readable error object
   * ABCKIT_BUDGET sets the default budget for the count commands and
@@ -34,7 +35,7 @@ from .bounds import (
     ExponentConfiguration,
     best_bound,
 )
-from .cases import CaseCheckReport, verify_case_catalog
+from .cases import verify_case_catalog
 from .counting import (
     DEFAULT_BUDGET,
     BoxSpec,
@@ -49,7 +50,7 @@ from .counting import (
 from .exact import format_rational, parse_rational
 from .powerfact import reduce_triple, verify_power_factorization
 from .radicals import build_radical_table, factorize, radical
-from .region import ThetaReport, explore_theta, maximize_nu
+from .region import maximize_nu
 
 SCHEMA = "abckit/1"
 
@@ -114,27 +115,15 @@ def _print_table(header, rows) -> None:
         )
 
 
-# Reports whose JSON keys are not their dataclass fields in order: the
-# case report adds all_passed before its checks, and the theta report puts
-# theta_estimate before argmax (its rounds are reshaped in _jsonify).
-_KEYS = {
-    CaseCheckReport: ("delta", "epsilon", "all_passed", "checks"),
-    ThetaReport: ("d", "delta", "epsilon", "lam", "budget", "seed", "methods",
-                  "rounds", "sup", "theta_estimate", "argmax", "certified"),
-}
-
-
 def _jsonify(value):
-    """Reports to JSON: a dataclass becomes an object of its fields in order
-    (see _KEYS), `lam` written as `lambda` and each theta round as
-    {threshold, verdict}; Fractions become 'p/q' strings; containers
+    """Reports to JSON: a dataclass becomes an object of its fields in order,
+    `lam` written as `lambda`; Fractions become 'p/q' strings; containers
     recurse."""
     if is_dataclass(value):
-        keys = _KEYS.get(type(value)) or [f.name for f in fields(value)]
-        doc = {key: getattr(value, key) for key in keys}
-        if isinstance(value, ThetaReport):
-            doc["rounds"] = [{"threshold": t, "verdict": v} for t, v in value.rounds]
-        return {"lambda" if k == "lam" else k: _jsonify(v) for k, v in doc.items()}
+        return {
+            "lambda" if f.name == "lam" else f.name: _jsonify(getattr(value, f.name))
+            for f in fields(value)
+        }
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
@@ -405,16 +394,6 @@ def _cmd_verify_cases(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_explore_theta(args) -> int:
-    report = explore_theta(
-        args.d, args.delta, args.epsilon, args.lam,
-        budget=args.budget, seed=args.seed, methods=args.methods,
-        rounds=args.rounds, streams=args.streams,
-    )
-    _print_json({"schema": SCHEMA, **_jsonify(report)})
-    return 0
-
-
 # --- parser wiring -------------------------------------------------------------
 
 
@@ -604,26 +583,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=_rational, default=Fraction(0))
     _add_format(p)
     p.set_defaults(func=_cmd_verify_cases)
-
-    explore = sub.add_parser("explore", help="empirical exponent exploration")
-    esub = explore.add_subparsers(dest="explore_kind", metavar="KIND")
-    p = esub.add_parser(
-        "theta", help="bisect for the smallest unfalsified threshold",
-        description="Binary-searches thresholds over [0.66 - eps^2, 1], "
-                    "running the region search at each; reports the "
-                    "empirical sup of the best bound, explicitly "
-                    "non-certified.",
-    )
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--epsilon", type=_rational, required=True)
-    p.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(1))
-    p.add_argument("--budget", type=int, default=80_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=8)
-    p.add_argument("--methods", type=_methods_list, default=None)
-    p.add_argument("--streams", type=int, default=8)
-    p.set_defaults(func=_cmd_explore_theta)
 
     return parser
 

@@ -731,48 +731,43 @@ def _kill(kids: dict) -> None:
             pass  # reaped by a _collect that was interrupted
 
 
+_MISSING = object()  # a stream result slot that no process has filled
+
+
 def _run_streams(task, n: int) -> list:
     """[task(k) for k in range(n)], spread over _worker_count(n) processes.
 
     This process runs streams 0, w, 2w, ...; forked worker j runs streams
-    j, j + w, ....  The streams are deterministic, so a worker that raises,
-    dies or sends a short reply has its streams re-run here, in stream
-    order, and an error surfaces as in a serial run: the first failing
-    stream's, with the same type and message.  So do the streams of a
-    worker that could not be forked.  If this process raises
-    (KeyboardInterrupt included), every worker is killed and reaped first.
+    j, j + w, ....  A worker that raises, dies, sends a short reply or
+    could not be forked leaves its streams without a result, and so does
+    this process from its first stream that raises on.  The streams are
+    deterministic, so those left without a result are run here at the end,
+    in stream order, and an error surfaces as in a serial run: the first
+    failing stream's, with the same type and message.  If this process is
+    interrupted (KeyboardInterrupt included), every worker is killed and
+    reaped first.
     """
     w = _worker_count(n)
-    out = [None] * n
+    out = [_MISSING] * n
     kids: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
-    failed: list[int] = []  # streams this process runs after its own
     try:
         for j in range(1, w):
             try:
                 kids[j] = _spawn(task, range(j, n, w))
-            except OSError:  # no process or pipe to spare
-                failed.extend(range(j, n, w))
+            except OSError:  # no process or pipe to spare: run them here
+                pass
         for k in range(0, n, w):
             try:
                 out[k] = task(k)
             except Exception:
-                _kill(kids)
-                for i in range(k):  # a serial run meets these streams first
-                    if i % w:
-                        task(i)
-                raise
+                break
         for j in list(kids):
             ks = range(j, n, w)
             got = _collect(*kids[j], len(ks))
             os.close(kids.pop(j)[1])
-            if got is None:
-                failed.extend(ks)
-            else:
-                for k, res in zip(ks, got):
-                    out[k] = res
-        for k in sorted(failed):
-            out[k] = task(k)
-        return out
+            for k, res in zip(ks, got or ()):
+                out[k] = res
+        return [task(k) if r is _MISSING else r for k, r in enumerate(out)]
     finally:
         _kill(kids)
 
@@ -801,6 +796,10 @@ def maximize_nu(
     """
     dl, ep, lam = F(delta), F(epsilon), F(lam)
     threshold = F(threshold)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if dl < 0 or ep < 0:
+        raise ValueError("delta and epsilon must be non-negative")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if streams < 1:
@@ -877,68 +876,3 @@ def maximize_nu(
         verdict=maximum <= threshold, outcome="ok",
     )
 
-
-@dataclass(frozen=True)
-class ThetaReport:
-    """Empirical theta exploration: the smallest threshold the search could
-    not falsify, which is exactly the empirical sup of best_bound.  Never a
-    certificate."""
-
-    d: int
-    delta: Fraction
-    epsilon: Fraction
-    lam: Fraction
-    budget: int
-    seed: int
-    methods: tuple[str, ...]
-    rounds: tuple[tuple[Fraction, bool], ...]
-    sup: Fraction | None
-    argmax: ExponentConfiguration | None
-    theta_estimate: Fraction | None
-    certified: bool = False
-
-
-def explore_theta(
-    d: int,
-    delta: Fraction,
-    epsilon: Fraction,
-    lam: Fraction = F(1),
-    budget: int = 80_000,
-    seed: int = 0,
-    *,
-    methods: Sequence[str] | None = None,
-    rounds: int = 8,
-    streams: int = 8,
-) -> ThetaReport:
-    """Bisect candidate thresholds over [0.66 - eps^2, 1], run maximize_nu
-    at each, and report the empirical sup of best_bound across all rounds
-    (the natural theta estimate).  Flagged non-certified by construction."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    dl, ep, lam = F(delta), F(epsilon), F(lam)
-    method_names = resolve_methods(methods)
-    lo, hi = _ROW["C2-ab"].rhs(dl, ep), F(1)
-    sup = None
-    argmax = None
-    history: list[tuple[Fraction, bool]] = []
-    per_round = max(1, budget // rounds)
-    for r in range(rounds):
-        mid = (lo + hi) / 2
-        rep = maximize_nu(
-            d, dl, ep, lam, budget=per_round, seed=seed * 9176 + r,
-            threshold=mid, methods=method_names, streams=streams,
-        )
-        history.append((mid, rep.verdict))
-        if rep.maximum is not None and (sup is None or rep.maximum > sup):
-            sup, argmax = rep.maximum, rep.argmax
-        if rep.verdict:
-            hi = mid
-        else:
-            lo = mid
-    return ThetaReport(
-        d=d, delta=dl, epsilon=ep, lam=lam, budget=budget, seed=seed,
-        methods=method_names, rounds=tuple(history), sup=sup, argmax=argmax,
-        theta_estimate=sup,
-    )

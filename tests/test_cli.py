@@ -301,17 +301,6 @@ def test_verify_region_huge_streams(capsys):
     assert doc == doc11
 
 
-def test_explore_theta(capsys):
-    code, doc = run_json(capsys, "explore", "theta", "--d", "3",
-                         "--delta", "1/1000", "--epsilon", "1/1000",
-                         "--budget", "120", "--rounds", "2", "--streams", "2",
-                         "--methods", "trivial")
-    assert code == 0
-    assert doc["certified"] is False
-    assert len(doc["rounds"]) == 2
-    assert Fraction(doc["sup"]) == Fraction(doc["theta_estimate"])
-
-
 def test_reduce_triple_tiny_epsilon_is_sparse(capsys):
     # epsilon 1/50 factorizes each member at 1/5000: M = 2.5 * 10^8 classes
     tracemalloc.start()
@@ -430,8 +419,6 @@ def test_exit_2_malformed_config(capsys, tmp_path):
     ("rad", "96", "--frobnicate"),
     ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
      "1/1000", "--threads", "2"),
-    ("explore", "theta", "--d", "6", "--delta", "1/1000", "--epsilon",
-     "1/1000", "--threads", "2"),
 ])
 def test_exit_2_unknown_flag(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -441,6 +428,15 @@ def test_exit_2_unknown_flag(capsys, argv):
 
 def test_exit_2_no_subcommand(capsys):
     code, doc = run_json(capsys)
+    assert code == 2
+    assert doc["error"]["kind"] == "usage"
+
+
+def test_explore_theta_is_gone(capsys):
+    # its sup was the best of independent region searches; `verify region`
+    # at the same seeds gives the same maxima
+    code, doc = run_json(capsys, "explore", "theta", "--d", "6",
+                         "--delta", "1/1000", "--epsilon", "1/1000")
     assert code == 2
     assert doc["error"]["kind"] == "usage"
 
@@ -499,10 +495,6 @@ def test_cover_search_takes_any_number_of_items(capsys, tmp_path):
     ("verify", "region", "--streams", "-2"),
     ("verify", "region", "--grid", "0"),
     ("verify", "region", "--grid", "-12"),
-    ("explore", "theta", "--streams", "0"),
-    ("explore", "theta", "--rounds", "0"),
-    ("explore", "theta", "--rounds", "-3"),
-    ("explore", "theta", "--budget", "0"),
 ])
 def test_exit_2_bad_streams_or_threads(capsys, argv):
     code, doc = run_json(capsys, *argv, "--d", "6", "--delta", "1/1000",
@@ -510,6 +502,28 @@ def test_exit_2_bad_streams_or_threads(capsys, argv):
     assert code == 2
     assert doc["error"]["kind"] == "invalid-argument"
     assert "must be >= 1" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--d", "0", "--delta", "1/1000"), "d must be >= 1"),
+    (("--d=-4", "--delta", "1/1000"), "d must be >= 1"),
+    (("--d", "2", "--delta=-1/1000"), "must be non-negative"),
+    (("--d", "6", "--delta=-1/1000"), "must be non-negative"),
+], ids=["d-zero", "d-negative", "d2-delta-negative", "d6-delta-negative"])
+def test_exit_2_bad_region_arguments(capsys, flags, message):
+    # refused up front: before the empty-region shortcut, and before a search
+    code, doc = run_json(capsys, "verify", "region", *flags,
+                         "--epsilon", "1/1000", "--samples", "50")
+    assert code == 2
+    assert doc["error"]["kind"] == "invalid-argument"
+    assert message in doc["error"]["message"]
+
+
+def test_exports_resolve():
+    names = abckit.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(abckit, name), name
 
 
 def test_python_dash_m_entry_point(capsys):
@@ -610,11 +624,6 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "cases-table": (
         ("verify", "cases", "--format", "table"),
         0, "6d6ba397be6f44ad722834f473ef132c5f0c2ce4cd0e6a9819433131f72b88ba"),
-    "theta-json": (
-        ("explore", "theta", "--d", "3", "--delta", "1/1000",
-         "--epsilon", "1/1000", "--budget", "120", "--rounds", "2",
-         "--streams", "2"),
-        0, "9948ecaf65195b7ff5b9e067ac2ed7a7cc18ca1a459f0d9127b05579170acf29"),
     "count-s-ca": (
         _COUNT_S,
         0, "94499dc911c7abe773fe380ecfaaf09934261e0f7c84af30c5f08531e26bb1b2"),

@@ -22,7 +22,6 @@ from abckit.region import (
     _windows_for,
     check_constraints,
     corner_config,
-    explore_theta,
     maximize_nu,
     sample_feasible,
 )
@@ -273,18 +272,14 @@ def test_search_argument_errors():
         # refused before the empty-region shortcut too
         with pytest.raises(ValueError, match="must be >= 1"):
             maximize_nu(2, MILLI, MILLI, budget=10, streams=streams)
-
-
-def test_theta_exploration():
-    rep = explore_theta(
-        6, MILLI, MILLI, budget=900, seed=1, rounds=3, streams=2,
-        methods=("trivial",),
-    )
-    assert not rep.certified
-    assert len(rep.rounds) == 3
-    assert rep.sup is not None and rep.sup >= F(33, 50) - F(1, 10**6)
-    assert rep.theta_estimate == rep.sup
-    assert best_bound(rep.argmax, methods=("trivial",)).value == rep.sup
+    # refused before the empty-region shortcut, and before any search
+    for d in (0, -4):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            maximize_nu(d, MILLI, MILLI, budget=10)
+    for d, delta, epsilon in ((2, -MILLI, MILLI), (6, -MILLI, MILLI),
+                              (6, MILLI, -MILLI)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            maximize_nu(d, delta, epsilon, budget=10)
 
 
 # --- the streams across forked workers -----------------------------------------
@@ -314,16 +309,13 @@ def test_worker_count_changes_nothing(monkeypatch):
     # the core count is the only input of the worker count besides the
     # streams; forcing it to 1, 2 and 3 must leave every report unchanged
     def reports():
-        out = [
+        return [
             maximize_nu(d, MILLI, MILLI, budget=240, seed=d + streams,
                         streams=streams, methods=methods)
             for d in (4, 6, 8)
             for streams in (1, 3, 8)
             for methods in (("trivial",), None)
         ]
-        out.append(explore_theta(6, MILLI, MILLI, budget=600, seed=1,
-                                 rounds=3, streams=2))
-        return out
 
     forks = _count_forks(monkeypatch)
     runs = {}
@@ -332,12 +324,12 @@ def test_worker_count_changes_nothing(monkeypatch):
         before = len(forks)
         runs[cores] = reports()
         _no_child_left()
-        # streams 1, 3, 8 per d and methods; theta's 3 rounds of 2 streams
+        # streams 1, 3, 8 per d and methods
         per_search = sum(min(s, cores) - 1 for s in (1, 3, 8))
-        assert len(forks) - before == 6 * per_search + 3 * (min(2, cores) - 1)
+        assert len(forks) - before == 6 * per_search
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
-    assert all(rep.outcome == "ok" for rep in runs[1][:-1])
+    assert all(rep.outcome == "ok" for rep in runs[1])
 
 
 def _failing_streams(monkeypatch, messages: dict):
