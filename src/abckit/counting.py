@@ -12,18 +12,20 @@ denominators and compare integer powers -- no floating point, ever.
 
 A per-call budget caps the number of candidate evaluations.  Calls whose
 work estimate exceeds the budget refuse up front with the estimate attached,
-so a script can adapt instead of hanging.
+so a script can adapt instead of hanging.  Radical tables are flat arrays of
+machine words (radicals.build_radical_table; 'ab' of count_exceptional_triples
+keeps its own), so memory grows by a few words per n.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, product, repeat
 from math import gcd, isqrt, prod
-from operator import and_
+from operator import and_, mul
 
 from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
 from .radicals import BudgetExceeded, build_radical_table, factorize
@@ -180,8 +182,8 @@ def count_exceptional_triples(
     definition.  ``ordered`` counts (a, b) and (b, a) separately;
     otherwise only a <= b.  Strategies:
 
-    * 'ca' scans every unordered pair {a, c - a}, a <= c/2, against a
-      smallest-prime-factor sieve table, X**2/4 candidates: the
+    * 'ca' scans every unordered pair {a, c - a}, a <= c/2, against the
+      prime-power division sieve's table, X**2/4 candidates: the
       brute-force oracle.  Each pair that passes counts twice when
       ``ordered``, except (1, 1, 2), its own mirror.  It skips only the
       rows c whose exact threshold is empty (c**lam <= rad c, e.g. every
@@ -191,12 +193,15 @@ def count_exceptional_triples(
       rad a * rad b <= t has bitlen(rad a) + bitlen(rad b) <= bitlen(t) + 1.
       That sum is formed for a whole row at once, one byte per pair, and
       only the pairs it keeps get the exact radical and gcd tests.
-    * 'ab' enumerates by small radical, over a distinct-prime sieve.  Since
-      min(rad a, rad b)**2 <= rad a * rad b, every counted triple has a
-      member n < c with (rad(n)**2 * rad c)**q < c**p (lam = p/q), so for
-      each c only the integers of smallest radical are walked.  Its budget
-      estimate is X plus an up-front upper bound on the members walked;
-      at lam = 1 that is about 10**6 for X = 10**5.
+    * 'ab' enumerates by small radical, over its own multiplicative
+      distinct-prime sieve.  Since min(rad a, rad b)**2 <= rad a * rad b,
+      every counted triple has a member n < c with
+      (rad(n)**2 * rad c)**q < c**p (lam = p/q), so for each c only the
+      integers of smallest radical are walked, from one index array of
+      the members ordered by radical.  Its budget estimate is X plus an
+      upper bound on the members walked, computed from the radicals and
+      the class sizes before the index is built; at lam = 1 that is about
+      1.2 * 10**6 for X = 10**5.  It holds about 12 bytes per n.
     """
     lam = Fraction(lam)
     if X < 1 or lam < 0:
@@ -257,36 +262,47 @@ def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int | None) -
     """Small-radical enumeration: for each c, the members n < c of the
     radical classes r with (r**2 * rad c)**q < c**p, each pair {n, c - n}
     tested from its member of smaller radical.  Two members of one class
-    r > 1 share a prime, so a tie never passes the gcd."""
+    r > 1 share a prime, so a tie never passes the gcd.
+
+    Every table is a flat array of machine words, about 12 bytes per n:
+    the radicals, the members ordered by radical (a counting sort), and
+    the class offsets.  The budget is checked before the member index is
+    built."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if X > limit:
         # the sieve alone exceeds the budget: refuse before allocating it,
         # with the table-free bound on sieve entries plus members walked
         raise BudgetExceeded("count_exceptional_triples", X * (X + 1) // 2, limit)
+    word = "I" if X < 2**32 else "Q"  # every entry is <= X + 1
     # distinct-prime sieve: m is prime when no smaller prime has touched it
-    rad = [1] * (X + 1)
+    rad = array(word, [1]) * (X + 1)
     for m in range(2, X + 1):
         if rad[m] == 1:
-            rad[m::m] = [v * m for v in rad[m::m]]
-    members: dict[int, list[int]] = {}
-    for n in range(1, X + 1):
-        members.setdefault(rad[n], []).append(n)
-    classes = sorted(members.items())  # ascending radical, members ascending
-    radicals = [r for r, _ in classes]
-    reach = list(accumulate(len(ns) for _, ns in classes))
-    # depth[c]: the number of classes c walks, those with r < c and
-    # r**2 * rad c <= iroot(c**p - 1, q)
-    depth = [0, 0] + [
-        bisect_right(radicals, min(c - 1, isqrt(iroot(c**p - 1, q) // rad[c])))
-        for c in range(2, X + 1)
-    ]
-    est = X + sum(min(c - 1, reach[k - 1]) for c, k in enumerate(depth) if k)
+            rad[m::m] = array(word, map(mul, rad[m::m], repeat(m)))
+
+    def depth(c: int) -> int:
+        # the largest radical c walks: r < c and r**2 * rad c <= iroot(c**p - 1, q)
+        return min(c - 1, isqrt(iroot(c**p - 1, q) // rad[c]))
+
+    # cum[r]: the number of n <= X with rad n <= r
+    cum = array(word, [0]) * (X + 2)
+    for r in islice(rad, 1, None):
+        cum[r] += 1
+    cum = array(word, accumulate(cum))
+    est = X + sum(min(c - 1, cum[depth(c)]) for c in range(2, X + 1))
     _check_budget("count_exceptional_triples", est, budget)
+    # counting sort, n descending into the back of its class: members
+    # ascend within a class, and cum[r] ends as the offset of class r
+    order = array(word, [0]) * X
+    for n in range(X, 0, -1):
+        r = rad[n]
+        k = cum[r] = cum[r] - 1
+        order[k] = n
     count = 0
     for c in range(2, X + 1):
         cp, rc = c**p, rad[c]
-        for r, ns in islice(classes, depth[c]):
-            for n in ns:
+        for r in range(1, depth(c) + 1):
+            for n in order[cum[r]:cum[r + 1]]:
                 if n >= c:
                     break
                 m = c - n
@@ -410,7 +426,8 @@ def count_radical_bounded(
         t = iroot(xp, q)
         if not t**q <= xp < (t + 1) ** q:
             raise ArithmeticError(f"iroot({xp}, {q}) returned {t}")
-        count = sum(map(t.__ge__, rad_of[1:]))
+        # entry 0 holds 0 <= t: drop its one hit rather than copy the table
+        count = sum(map(t.__ge__, rad_of)) - 1
     else:
         # largest integer r with r^q <= x^p
         threshold = iroot(x**p, q)

@@ -195,8 +195,6 @@ class _Windows:
 
 
 def _windows_for(d: int, delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
-    if grid is not None and grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
     dl, ep = F(delta), F(epsilon)
     rhs = [row.rhs(dl, ep) for row in FEASIBILITY_ROWS]
     scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
@@ -507,6 +505,8 @@ def sample_feasible(
         raise ValueError("the region is empty for d < 3 at small slacks")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     dl, ep = F(delta), F(epsilon)
     win = _windows_for(d, dl, ep, grid)
     bits = Random(seed * 1_000_003 + 1).getrandbits
@@ -804,6 +804,8 @@ def maximize_nu(
         raise ValueError("budget must be >= 1")
     if streams < 1:
         raise ValueError("streams must be >= 1")
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     method_names = resolve_methods(methods)
     base_kwargs = dict(
         d=d, delta=dl, epsilon=ep, lam=lam, threshold=threshold,

@@ -509,7 +509,10 @@ def test_exit_2_bad_streams_or_threads(capsys, argv):
     (("--d=-4", "--delta", "1/1000"), "d must be >= 1"),
     (("--d", "2", "--delta=-1/1000"), "must be non-negative"),
     (("--d", "6", "--delta=-1/1000"), "must be non-negative"),
-], ids=["d-zero", "d-negative", "d2-delta-negative", "d6-delta-negative"])
+    (("--d", "2", "--delta", "1/1000", "--grid", "0"), "grid must be >= 1"),
+    (("--d", "6", "--delta", "1/1000", "--grid", "0"), "grid must be >= 1"),
+], ids=["d-zero", "d-negative", "d2-delta-negative", "d6-delta-negative",
+        "d2-grid-zero", "d6-grid-zero"])
 def test_exit_2_bad_region_arguments(capsys, flags, message):
     # refused up front: before the empty-region shortcut, and before a search
     code, doc = run_json(capsys, "verify", "region", *flags,

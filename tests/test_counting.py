@@ -191,6 +191,20 @@ def test_small_radical_refuses_huge_x_without_allocating():
     assert info.value.estimate > info.value.budget
 
 
+def test_small_radical_refuses_before_its_member_index():
+    # budget = X admits the sieve; the tight estimate comes from the
+    # radical and class-count arrays alone, about 12 bytes per n
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            count_exceptional_triples(10**5, F(1), strategy="ab", budget=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.estimate == 1231664
+    assert peak < 4 * 10**6
+
+
 def test_s_frozen():
     # alpha=beta=gamma=1 is no constraint at all: ordered coprime a+b=c <= 5
     assert count_s(5, F(1), F(1), F(1)).count == 9

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -43,12 +44,36 @@ def test_table_matches_oracle():
     # slices start
     for limit in (0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 121, 10_000):
         want = [0] + [naive_radical(n) for n in range(1, limit + 1)]
-        assert build_radical_table(limit) == want, limit
+        assert build_radical_table(limit).tolist() == want, limit
+
+
+def test_table_matches_oracle_at_prime_powers():
+    # limits at and around higher prime powers, where a division slice
+    # first starts
+    limits = (7, 8, 9, 15, 16, 26, 27, 28, 31, 32, 63, 64, 124, 125, 128,
+              343, 1024, 2187, 65536)
+    for limit in limits:
+        want = [0] + [naive_radical(n) for n in range(1, limit + 1)]
+        assert build_radical_table(limit).tolist() == want, limit
+
+
+def test_table_memory_is_bounded_per_entry():
+    # the table is one array of machine words, filled by slices: at most
+    # 16 bytes per entry at its peak, table included
+    limit = 10**5
+    tracemalloc.start()
+    try:
+        table = build_radical_table(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == limit + 1
+    assert peak < 16 * (limit + 1)
 
 
 def test_radical_agrees_with_table():
     table = build_radical_table(100)
-    assert [radical(n) for n in range(1, 101)] == table[1:]
+    assert [radical(n) for n in range(1, 101)] == table.tolist()[1:]
     assert radical(101) == 101  # past the table: factored exactly
     assert radical(10**6 + 3) == 10**6 + 3
 
