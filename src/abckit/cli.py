@@ -11,7 +11,7 @@ Conventions, uniform across subcommands:
     decimals are rejected so exactness survives the round trip
   * identical argv produces byte-identical output (no timestamps, fixed
     key order, deterministic seeds); a report is an object of its dataclass
-    fields in order, with `lam` written as `lambda`
+    fields in order
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
     errors and budget refusals, which emit a machine-readable error object
   * ABCKIT_BUDGET sets the default budget for the count commands and
@@ -116,14 +116,10 @@ def _print_table(header, rows) -> None:
 
 
 def _jsonify(value):
-    """Reports to JSON: a dataclass becomes an object of its fields in order,
-    `lam` written as `lambda`; Fractions become 'p/q' strings; containers
-    recurse."""
+    """Reports to JSON: a dataclass becomes an object of its fields in order;
+    Fractions become 'p/q' strings; containers recurse."""
     if is_dataclass(value):
-        return {
-            "lambda" if f.name == "lam" else f.name: _jsonify(getattr(value, f.name))
-            for f in fields(value)
-        }
+        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
@@ -366,9 +362,9 @@ def _cmd_bounds_eval(args) -> int:
 
 def _cmd_verify_region(args) -> int:
     report = maximize_nu(
-        args.d, args.delta, args.epsilon, args.lam,
-        budget=args.samples, seed=args.seed, threshold=args.threshold,
-        methods=args.methods, streams=args.streams, grid=args.grid,
+        args.d, args.delta, args.epsilon, budget=args.samples, seed=args.seed,
+        threshold=args.threshold, methods=args.methods, streams=args.streams,
+        grid=args.grid,
     )
     payload = {"schema": SCHEMA, **_jsonify(report)}
     if args.format == "json":
@@ -562,8 +558,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--epsilon", type=_rational, required=True)
-    p.add_argument("--lambda", dest="lam", type=_rational,
-                   default=Fraction(1), help="recorded in the report")
     p.add_argument("--samples", type=int, default=100_000,
                    help="sampling budget (hill-climbing adds ~15%% on top)")
     p.add_argument("--seed", type=int, default=0)

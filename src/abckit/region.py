@@ -3,14 +3,17 @@ falsification search for the 0.66 exponent threshold.
 
 The feasible region lives in the space of ExponentConfigurations.  Its
 constraints are the rows of one table, ROWS: each row is a linear form in
-the entry sums T_v and the weighted sums W_v = sum(i * v_i), a sense, and
-a right-hand side in (delta, epsilon).  C1-C4 (weighted sums, pairwise
-totals, grand total, each total) define feasibility; R1-R3 restate the
-totals as deviations from 1/3 and are reported only.  check_constraints
-evaluates every row exactly on Fractions; the sampler rounds the C rows
-inward onto an integer lattice (entries are multiples of 1/scale) so
-window membership is plain integer comparison and results are
-reproducible bit for bit.
+the entry sums T_v and the weighted sums W_v = sum(i * v_i), a non-strict
+sense, and a right-hand side in (delta, epsilon).  The rows are C1-C4
+(weighted sums, pairwise totals, grand total, each total), and
+feasibility means every row holds.  The paper's R1-R3, the totals
+restated as deviations from 1/3, are not rows: R1 follows from C4, R2 is
+C2, R3-upper follows from the sum of the C2 rows when epsilon <= 2/3, and
+R3-lower (T < 1 + delta, strict) follows from C3 when epsilon > 0; the
+case catalog replays their constants.  check_constraints evaluates every
+row exactly on Fractions; the sampler rounds the rows inward onto an
+integer lattice (entries are multiples of 1/scale) so window membership is
+plain integer comparison and results are reproducible bit for bit.
 
 maximize_nu is a falsification search, not a proof: it samples the region
 (including targeted corner generators near the tight boundary structures),
@@ -68,8 +71,8 @@ SUM, WEIGHTED = "sum", "weighted"
 @dataclass(frozen=True)
 class Row:
     """One linear inequality: the terms named by coeffs, compared by sense
-    (">=", "<=" or strict "<") with rhs(delta, epsilon).  coeffs holds one
-    entry per vector (a, b, c): None, SUM (T_v) or WEIGHTED (W_v)."""
+    (">=" or "<=") with rhs(delta, epsilon).  coeffs holds one entry per
+    vector (a, b, c): None, SUM (T_v) or WEIGHTED (W_v)."""
 
     name: str
     coeffs: tuple[str | None, ...]
@@ -106,17 +109,7 @@ ROWS: tuple[Row, ...] = (
     # C4: 0.32 - delta <= T_v <= 0.34 + delta - eps/2
     *_rows("C4", SUM, "abc", ("lower", ">=", lambda dl, ep: F(8, 25) - dl),
            ("upper", "<=", lambda dl, ep: F(17, 50) + dl - ep / 2)),
-    # R1: -1/150 - delta <= 1/3 - T_v <= 1/75 + delta + eps
-    *_rows("R1", SUM, "abc", ("lower", "<=", lambda dl, ep: F(17, 50) + dl),
-           ("upper", ">=", lambda dl, ep: F(8, 25) - dl - ep)),
-    # R2: (1/3 - T_u) + (1/3 - T_v) <= 1/150 + eps^2 for each pair
-    *_rows("R2", SUM, ("ab", "ac", "bc"),
-           ("", ">=", lambda dl, ep: F(33, 50) - ep * ep)),
-    # R3: -delta < 1 - (T_a + T_b + T_c) <= 1/100 + eps
-    Row("R3-lower", (SUM,) * 3, "<", lambda dl, ep: 1 + dl),
-    Row("R3-upper", (SUM,) * 3, ">=", lambda dl, ep: F(99, 100) - ep),
 )
-FEASIBILITY_ROWS = tuple(row for row in ROWS if row.name.startswith("C"))
 _ROW = {row.name: row for row in ROWS}
 
 
@@ -126,13 +119,11 @@ def _weighted(vec: Sequence) -> int | Fraction:
 
 @dataclass(frozen=True)
 class ConstraintRecord:
-    """One atomic inequality: non-negative slack means satisfied (strict
-    inequalities need positive slack)."""
+    """One row of ROWS evaluated: non-negative slack means satisfied."""
 
     name: str
     satisfied: bool
     slack: Fraction
-    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,8 @@ class ConstraintReport:
 
     @property
     def feasible(self) -> bool:
-        """True when every C-family constraint holds (R's are informational)."""
-        return all(r.satisfied for r in self.records if r.name.startswith("C"))
+        """True when every row (C1-C4) holds."""
+        return all(r.satisfied for r in self.records)
 
     def record(self, name: str) -> ConstraintRecord:
         for r in self.records:
@@ -154,7 +145,7 @@ class ConstraintReport:
 
 
 def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
-    """Evaluate every row of ROWS exactly; feasibility is C1-C4."""
+    """Evaluate every row of ROWS exactly."""
     vecs = (cfg.a, cfg.b, cfg.c)
     vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
     recs = []
@@ -162,9 +153,7 @@ def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
         lhs = sum(vals[i] for i in row.terms)
         rhs = row.rhs(cfg.delta, cfg.epsilon)
         slack = lhs - rhs if row.sense == ">=" else rhs - lhs
-        strict = row.sense == "<"
-        ok = slack > 0 if strict else slack >= 0
-        recs.append(ConstraintRecord(row.name, ok, slack, strict))
+        recs.append(ConstraintRecord(row.name, slack >= 0, slack))
     return ConstraintReport(tuple(recs))
 
 
@@ -173,7 +162,7 @@ def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
 
 @dataclass(frozen=True)
 class _Windows:
-    """The C rows on the lattice: `rows` holds (terms, is_lower, bound) per
+    """The rows on the lattice: `rows` holds (terms, is_lower, bound) per
     row, and the named fields are the bounds the generators read."""
 
     scale: int
@@ -196,17 +185,17 @@ class _Windows:
 
 def _windows_for(d: int, delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
     dl, ep = F(delta), F(epsilon)
-    rhs = [row.rhs(dl, ep) for row in FEASIBILITY_ROWS]
+    rhs = [row.rhs(dl, ep) for row in ROWS]
     scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
-    # each bound rounded inward (no C row is strict): an integer lhs meets
+    # each bound rounded inward (no row is strict): an integer lhs meets
     # the rounded bound iff it meets the rhs
     bound = {
         row.name: _ceil(x * scale) if row.sense == ">=" else _floor(x * scale)
-        for row, x in zip(FEASIBILITY_ROWS, rhs)
+        for row, x in zip(ROWS, rhs)
     }
     return _Windows(
         scale=scale,
-        rows=tuple((r.terms, r.sense == ">=", bound[r.name]) for r in FEASIBILITY_ROWS),
+        rows=tuple((r.terms, r.sense == ">=", bound[r.name]) for r in ROWS),
         tot_lo=bound["C4-a-lower"],
         tot_hi=bound["C4-a-upper"],
         pair_lo=bound["C2-ab"],
@@ -546,7 +535,6 @@ class RegionSearchReport:
     d: int
     delta: Fraction
     epsilon: Fraction
-    lam: Fraction
     threshold: Fraction
     budget: int
     seed: int
@@ -776,11 +764,10 @@ def maximize_nu(
     d: int,
     delta: Fraction,
     epsilon: Fraction,
-    lam: Fraction = F(1),
+    *,
     budget: int = 100_000,
     seed: int = 0,
     threshold: Fraction = DEFAULT_THRESHOLD,
-    *,
     methods: Sequence[str] | None = None,
     streams: int = 8,
     grid: int | None = None,
@@ -794,7 +781,7 @@ def maximize_nu(
     _run_streams) and merged in stream order, so the result is
     deterministic in (parameters, seed, streams) whatever the core count.
     """
-    dl, ep, lam = F(delta), F(epsilon), F(lam)
+    dl, ep = F(delta), F(epsilon)
     threshold = F(threshold)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -808,17 +795,17 @@ def maximize_nu(
         raise ValueError(f"grid must be >= 1, got {grid}")
     method_names = resolve_methods(methods)
     base_kwargs = dict(
-        d=d, delta=dl, epsilon=ep, lam=lam, threshold=threshold,
+        d=d, delta=dl, epsilon=ep, threshold=threshold,
         budget=budget, seed=seed, streams=streams, methods=method_names,
     )
 
-    def empty(reason: str) -> RegionSearchReport:
+    def empty(note: str, mix=None, samples: int = 0) -> RegionSearchReport:
+        # no feasible sample: nothing searched (mix None) or nothing found
         return RegionSearchReport(
             **base_kwargs,
-            strategy_mix={"draws": 0, "hill": 0, "corners": 0},
-            samples=0, feasible=0, maximum=None, argmax=None,
-            method_wins={}, verdict=True, outcome="region-empty",
-            note=f"region empty at d={d}: {reason}; nothing to search",
+            strategy_mix=mix or {"draws": 0, "hill": 0, "corners": 0},
+            samples=samples, feasible=0, maximum=None, argmax=None,
+            method_wins={}, verdict=True, outcome="region-empty", note=note,
         )
 
     if d < 3:
@@ -827,13 +814,15 @@ def maximize_nu(
                 "d < 3 is only supported where the weighted-capacity "
                 "argument proves the region empty; these slacks are too large"
             )
-        return empty("the weighted c-sum cannot reach 1 - eps^2")
+        return empty(f"region empty at d={d}: the weighted c-sum cannot "
+                     "reach 1 - eps^2; nothing to search")
     win = _windows_for(d, dl, ep, grid)
     if (dl * win.scale).denominator != 1:
         raise ValueError("grid does not contain delta; pick a finer lattice")
     if win.tot_lo > win.tot_hi:
         lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
-        return empty(f"the C4 totals window [{lo}, {hi}] is empty")
+        return empty(f"region empty at d={d}: the C4 totals window "
+                     f"[{lo}, {hi}] is empty; nothing to search")
     climbs_total = int(budget * _HILL_FRACTION)
 
     def task(k: int):
@@ -859,13 +848,9 @@ def maximize_nu(
             best = sbest
     mix = {"draws": budget, "hill": climbs_total, "corners": corners}
     if best is None:
-        return RegionSearchReport(
-            **base_kwargs, strategy_mix=mix, samples=samples, feasible=0,
-            maximum=None, argmax=None, method_wins={}, verdict=True,
-            outcome="region-empty",
-            note=f"no feasible sample found at d={d}, delta={dl}, "
-            f"epsilon={ep}; region empty or too thin for this sampler",
-        )
+        return empty(f"no feasible sample found at d={d}, delta={dl}, "
+                     f"epsilon={ep}; region empty or too thin for this sampler",
+                     mix, samples)
     num, den, vecs = best
     argmax = _to_config(vecs, win.scale, dl, ep, d)
     maximum = best_bound(argmax, methods=method_names).value

@@ -419,6 +419,8 @@ def test_exit_2_malformed_config(capsys, tmp_path):
     ("rad", "96", "--frobnicate"),
     ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
      "1/1000", "--threads", "2"),
+    ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
+     "1/1000", "--lambda", "1"),
 ])
 def test_exit_2_unknown_flag(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -613,14 +615,14 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         0, "4fe357124893b38b4df32df989b6514cecc849d0d07a4e190f156c176653b603"),
     "region-json": (
         _REGION,
-        0, "a24f81019682d3a32628d3252c29b610746b5a4bb3d0a280831c5d9746306ae9"),
+        0, "f4d9566704e7ba3559d4bb922be4da58498c26beb65d039fbbccaaca1602d9f4"),
     "region-table": (
         _REGION + ("--format", "table"),
-        0, "b34bdba1ae7c286bb9c4ce82bd26146c811278a1375acf24e0b3e59acd65dc22"),
+        0, "287413f9192e5eaef9e1ccd21051d7f2e6ea6de992a35f3d75f4aa1dfba5873a"),
     "region-empty-json": (
         ("verify", "region", "--d", "2", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "10"),
-        0, "9eafb7afa1dc689bc26a7184fcff2c44112c52b5fb717bb1de7a6199fb92087c"),
+        0, "c86d9ef1ed39ce062c180beb23d8bd87ddcdae457c238ab9fe2dfe9e701d636b"),
     "cases-json": (
         ("verify", "cases"),
         0, "81acbf100ee715dbcbaad1bb0cbe12a8cab9a654f265967d12831b4b74a552f0"),

@@ -14,6 +14,7 @@ import pytest
 import abckit.region as region
 from abckit.bounds import ExponentConfiguration, best_bound
 from abckit.region import (
+    ROWS,
     RegionSearchReport,
     _hill_steps,
     _randint,
@@ -52,12 +53,15 @@ def test_constraints_frozen_slacks():
     assert rep.record("C4-a-lower").slack == F(11, 1000)
     assert rep.record("C1-weighted-c-lower").slack == F(1, 10**6)
     assert rep.record("C1-weighted-a").slack == F(67, 100)
-    # deviation diagnostics
-    assert rep.record("R2-ab").slack == F(1, 10**6)
-    assert rep.record("R3-upper").slack == MILLI
-    assert rep.record("R3-lower").slack == F(11, 1000)
-    assert rep.record("R3-lower").strict
-    assert rep.record("R1-a-upper").slack == F(3, 250)
+    # C1-C4 are the whole table, in order
+    assert [r.name for r in rep.records] == [
+        "C1-weighted-a", "C1-weighted-b", "C1-weighted-c-upper",
+        "C1-weighted-c-lower", "C2-ab", "C2-ac", "C2-bc", "C3-grand-total",
+        "C4-a-lower", "C4-a-upper", "C4-b-lower", "C4-b-upper",
+        "C4-c-lower", "C4-c-upper",
+    ]
+    # _windows_for rounds each bound inward, exact only for non-strict rows
+    assert {row.sense for row in ROWS} == {">=", "<="}
 
 
 def test_constraints_catch_violation():
@@ -280,6 +284,12 @@ def test_search_argument_errors():
                               (6, MILLI, -MILLI)):
         with pytest.raises(ValueError, match="must be non-negative"):
             maximize_nu(d, delta, epsilon, budget=10)
+    # everything after epsilon is keyword-only: there is no lambda, and a
+    # stale positional one cannot turn into the budget
+    with pytest.raises(TypeError):
+        maximize_nu(6, MILLI, MILLI, lam=F(1), budget=10)
+    with pytest.raises(TypeError):
+        maximize_nu(6, MILLI, MILLI, F(1))
 
 
 # --- the streams across forked workers -----------------------------------------
