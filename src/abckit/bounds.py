@@ -22,9 +22,10 @@ class of the second vector; it never exceeds the plain fourier value.
 Each method has one implementation: an integer core that reads the three
 vectors as numerators over a common scale (delta too) and returns the
 exact value as (numerator, denominator) with its minimizing witness (the
-pair / subsets / indices).  The public evaluators put a configuration on
-the grid of its own denominators, run the core and return a BoundReport
-with an exact Fraction; fast_best runs the same cores on a caller's grid
+pair / subsets / indices).  Each configuration is put on the grid of its
+own denominators once, as ExponentConfiguration.grid, and keeps it; the
+public evaluators run a core on that grid and return a BoundReport with
+an exact Fraction, and fast_best runs the same cores on a caller's grid
 for bulk search.  Two independent checks stay beside the cores:
 evaluate_at replays a defining formula at a witness in Fraction
 arithmetic, and the geometry subset search, by branch-and-bound, can be
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -70,8 +72,12 @@ class SubsetSearchRefusal(ValueError):
     for the full enumeration."""
 
 
+def _rat(value: Rat) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _rat_tuple(values: Iterable[Rat]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_rat, values))
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,8 @@ class ExponentConfiguration:
 
     Entries are non-negative rationals; delta >= 0 and epsilon >= 0 are
     the additive slack and the localization parameter carried alongside.
+    The integer form the evaluators read, ``grid``, is computed on first
+    use and kept on the instance; it is not a field.
     """
 
     d: int
@@ -90,21 +98,30 @@ class ExponentConfiguration:
     epsilon: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _rat_tuple(self.a))
-        object.__setattr__(self, "b", _rat_tuple(self.b))
-        object.__setattr__(self, "c", _rat_tuple(self.c))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        for name in VECTOR_NAMES:
+            object.__setattr__(self, name, _rat_tuple(getattr(self, name)))
+        object.__setattr__(self, "delta", _rat(self.delta))
+        object.__setattr__(self, "epsilon", _rat(self.epsilon))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         for name in VECTOR_NAMES:
             vec = getattr(self, name)
             if len(vec) != self.d:
                 raise ValueError(f"vector {name} must have d = {self.d} entries")
-            if any(x < 0 for x in vec):
+            if any(x.numerator < 0 for x in vec):
                 raise ValueError(f"vector {name} has a negative entry")
-        if self.delta < 0 or self.epsilon < 0:
+        if self.delta.numerator < 0 or self.epsilon.numerator < 0:
             raise ValueError("delta and epsilon must be non-negative")
+
+    @cached_property
+    def grid(self) -> tuple:
+        """(vecs, delta_num, scale): the three vectors and delta as integer
+        numerators over scale, the lcm of their denominators; the arguments
+        of every integer core."""
+        scale = lcm(self.delta.denominator,
+                    *(f.denominator for f in self.a + self.b + self.c))
+        vecs, dn = fast_scale(self, scale)
+        return vecs, dn, scale
 
     def vector(self, name: str) -> tuple[Fraction, ...]:
         if name not in VECTOR_NAMES:
@@ -438,10 +455,9 @@ def fast_scale(cfg: ExponentConfiguration, grid: int) -> tuple:
 
 
 def _report(method: str, core, cfg: ExponentConfiguration, **options) -> BoundReport:
-    """Run a core on cfg's own grid, the lcm of all its denominators."""
-    scale = lcm(cfg.delta.denominator, *(f.denominator for f in cfg.a + cfg.b + cfg.c))
-    vecs, dn = fast_scale(cfg, scale)
-    num, den, witness = core(vecs, dn, scale, **options)
+    """Run a core on cfg.grid, the grid of cfg's own denominators, which
+    is computed once per configuration and shared by every evaluator."""
+    num, den, witness = core(*cfg.grid, **options)
     return BoundReport(method, Fraction(num, den), witness)
 
 
@@ -539,9 +555,14 @@ def best_bound(
     Geometry runs its branch-and-bound search.
     """
     names = resolve_methods(methods)
+    return best_of(globals()[_EVALUATOR_ATTRS[name]](cfg) for name in names)
+
+
+def best_of(reports: Iterable[BoundReport]) -> BoundReport:
+    """The "best" report over evaluated reports: the least value, a tie
+    going to the report listed first."""
     best = None
-    for name in names:
-        rep = globals()[_EVALUATOR_ATTRS[name]](cfg)
+    for rep in reports:
         if best is None or rep.value < best.value:
             best = rep
     return BoundReport("best", best.value, {"method": best.method, "witness": best.witness})

@@ -34,6 +34,7 @@ from .bounds import (
     METHOD_NAMES,
     ExponentConfiguration,
     best_bound,
+    best_of,
 )
 from .cases import verify_case_catalog
 from .counting import (
@@ -100,18 +101,22 @@ def _print_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-def _print_table(header, rows) -> None:
-    cells = [[str(x) for x in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(header)
-    ]
+def _print_table(header, rows, widths=None) -> None:
+    """Print rows under header, each column as wide as its widest cell.
+    Given the widths (each at least its header's), rows may be any
+    iterable and are written as they come."""
+    if widths is None:
+        rows = [[str(x) for x in row] for row in rows]
+        widths = [
+            max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+            for i, h in enumerate(header)
+        ]
     line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
     sys.stdout.write(line.rstrip() + "\n")
     sys.stdout.write("  ".join("-" * w for w in widths) + "\n")
-    for row in cells:
+    for row in rows:
         sys.stdout.write(
-            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+            "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
         )
 
 
@@ -218,20 +223,30 @@ def _cmd_rad(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    # the table is 8 bytes per entry, but its printed rows peak at about
-    # 0.4 KB per entry (0.23 KB as csv): refuse before allocating any of them
+    # the table is 8 bytes per entry and its rows are written as they are
+    # read from it: refuse before allocating any of it
     budget = _default_budget(args)
     budget = DEFAULT_BUDGET if budget is None else budget
     if args.limit > budget:
         raise BudgetExceeded("build_radical_table", args.limit, budget)
     table = build_radical_table(args.limit)
-    rows = [[n, table[n]] for n in range(1, args.limit + 1)]
+    rows = ((n, table[n]) for n in range(1, args.limit + 1))
     if args.format == "json":
-        _print_json({"schema": SCHEMA, "limit": args.limit, "radicals": rows})
+        # the bytes of _print_json, written one row at a time
+        write = sys.stdout.write
+        write(f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "limit": {args.limit},\n'
+              f'  "radicals": [')
+        sep = "\n"
+        for n, r in rows:
+            write(f"{sep}    [\n      {n},\n      {r}\n    ]")
+            sep = ",\n"
+        write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
     elif args.format == "csv":
         _print_csv(["n", "radical"], rows)
     else:
-        _print_table(["n", "radical"], rows)
+        widths = [max(len(h), len(str(x)))
+                  for h, x in (("n", args.limit), ("radical", max(table)))]
+        _print_table(["n", "radical"], rows, widths)
     return 0
 
 
@@ -345,7 +360,7 @@ def _cmd_bounds_eval(args) -> int:
     names = METHOD_NAMES + ((EXTENDED_METHOD,) if args.extended_fourier else ())
     if args.method == "all":
         reports = [EVALUATORS[name](cfg) for name in names]
-        reports.append(best_bound(cfg, methods=names))
+        reports.append(best_of(reports))
     elif args.method == "best":
         reports = [best_bound(cfg, methods=names)]
     else:

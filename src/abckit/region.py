@@ -11,9 +11,10 @@ restated as deviations from 1/3, are not rows: R1 follows from C4, R2 is
 C2, R3-upper follows from the sum of the C2 rows when epsilon <= 2/3, and
 R3-lower (T < 1 + delta, strict) follows from C3 when epsilon > 0; the
 case catalog replays their constants.  check_constraints evaluates every
-row exactly on Fractions; the sampler rounds the rows inward onto an
-integer lattice (entries are multiples of 1/scale) so window membership is
-plain integer comparison and results are reproducible bit for bit.
+row exactly, summing in integers on the configuration's grid; the sampler
+rounds the rows inward onto an integer lattice (entries are multiples of
+1/scale) so window membership is plain integer comparison and results are
+reproducible bit for bit.
 
 maximize_nu is a falsification search, not a proof: it samples the region
 (including targeted corner generators near the tight boundary structures),
@@ -29,6 +30,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from random import Random
 from typing import Callable, Sequence
@@ -79,7 +81,7 @@ class Row:
     sense: str
     rhs: Callable[[Fraction, Fraction], Fraction]
 
-    @property
+    @cached_property
     def terms(self) -> tuple[int, ...]:
         """Positions of the row's terms in (T_a, T_b, T_c, W_a, W_b, W_c)."""
         return tuple(i + 3 * (k == WEIGHTED) for i, k in enumerate(self.coeffs) if k)
@@ -111,6 +113,12 @@ ROWS: tuple[Row, ...] = (
            ("upper", "<=", lambda dl, ep: F(17, 50) + dl - ep / 2)),
 )
 _ROW = {row.name: row for row in ROWS}
+
+
+@lru_cache(maxsize=16)
+def _row_bounds(delta: Fraction, epsilon: Fraction) -> tuple[Fraction, ...]:
+    """rhs(delta, epsilon) of every row of ROWS, in order."""
+    return tuple(row.rhs(delta, epsilon) for row in ROWS)
 
 
 def _weighted(vec: Sequence) -> int | Fraction:
@@ -145,15 +153,19 @@ class ConstraintReport:
 
 
 def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
-    """Evaluate every row of ROWS exactly."""
-    vecs = (cfg.a, cfg.b, cfg.c)
+    """Evaluate every row of ROWS exactly: each lhs is summed in integers
+    over cfg.grid's scale, and each slack is one Fraction."""
+    vecs, _, scale = cfg.grid
     vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
     recs = []
-    for row in ROWS:
+    for row, rhs in zip(ROWS, _row_bounds(cfg.delta, cfg.epsilon)):
         lhs = sum(vals[i] for i in row.terms)
-        rhs = row.rhs(cfg.delta, cfg.epsilon)
-        slack = lhs - rhs if row.sense == ">=" else rhs - lhs
-        recs.append(ConstraintRecord(row.name, slack >= 0, slack))
+        # lhs / scale - rhs over the common denominator scale * rhs.denominator
+        gap = lhs * rhs.denominator - rhs.numerator * scale
+        if row.sense == "<=":
+            gap = -gap
+        recs.append(ConstraintRecord(
+            row.name, gap >= 0, Fraction(gap, scale * rhs.denominator)))
     return ConstraintReport(tuple(recs))
 
 

@@ -146,8 +146,8 @@ def test_exhaustive_refusal():
 # --- randomized invariants ---
 
 
-def _random_cfg(rng, max_d=4, dens=(2, 3, 4, 5, 6, 10, 12), with_delta=True):
-    d = rng.randint(1, max_d)
+def _random_cfg(rng, max_d=4, dens=(2, 3, 4, 5, 6, 10, 12), with_delta=True, d=None):
+    d = d or rng.randint(1, max_d)
 
     def vec():
         return tuple(
@@ -388,6 +388,79 @@ def test_config_validation():
         ExponentConfiguration(
             d=1, a=(F(0),), b=(F(0),), c=(F(0),), delta=F(-1, 10)
         )
+    # Fractions are kept as given, ints become Fractions, and a negative
+    # number of either kind is refused wherever it stands
+    half = F(1, 2)
+    cfg = ExponentConfiguration(d=2, a=(half, 1), b=(0, half), c=(3, 0), delta=2)
+    assert cfg.a[0] is half
+    for x in (*cfg.a, *cfg.b, *cfg.c, cfg.delta, cfg.epsilon):
+        assert type(x) is Fraction
+    assert cfg == cfg_of([F(1, 2), F(1)], [F(0), F(1, 2)], [F(3), F(0)], delta=2)
+    for bad in (-1, F(-1, 3)):
+        for name in ("a", "b", "c"):
+            vecs = {"a": (0, 0), "b": (0, 0), "c": (0, 0), name: (0, bad)}
+            with pytest.raises(ValueError, match="negative entry"):
+                ExponentConfiguration(d=2, **vecs)
+        for slack in ("delta", "epsilon"):
+            with pytest.raises(ValueError, match="non-negative"):
+                ExponentConfiguration(d=1, a=(0,), b=(0,), c=(0,), **{slack: bad})
+
+
+_EVALUATED = (trivial_bound, fourier_bound, geometry_bound, determinant_bound,
+              thue_bound, extended_fourier_bound, best_bound)
+
+
+def _fresh(cfg):
+    return ExponentConfiguration(d=cfg.d, a=cfg.a, b=cfg.b, c=cfg.c,
+                                 delta=cfg.delta, epsilon=cfg.epsilon)
+
+
+def test_grid_is_the_configuration_on_its_own_denominators():
+    rng = random.Random(18)
+    for _ in range(100):
+        cfg = _random_cfg(rng, max_d=10)
+        vecs, dn, scale = cfg.grid
+        assert scale == lcm(cfg.delta.denominator,
+                            *(x.denominator for x in cfg.a + cfg.b + cfg.c))
+        assert (vecs, dn) == fast_scale(cfg, scale)
+        assert cfg.grid is cfg.grid
+
+
+def test_cached_grid_gives_the_reports_of_a_fresh_configuration():
+    from abckit.cli import _jsonify
+
+    rng = random.Random(1818)
+    for d in range(1, 11):
+        for _ in range(5):
+            cfg = _random_cfg(rng, d=d)
+            cfg.grid
+            warm = [fn(cfg) for fn in _EVALUATED]
+            # each evaluator on a new equal instance, which builds its own grid
+            assert warm == [fn(_fresh(cfg)) for fn in _EVALUATED]
+            # the cached grid is not a field: equality, hash and JSON ignore it
+            assert "grid" in vars(cfg) and cfg == _fresh(cfg)
+            assert hash(cfg) == hash(_fresh(cfg))
+            assert list(_jsonify(cfg)) == ["d", "a", "b", "c", "delta", "epsilon"]
+
+
+def test_one_configuration_is_scaled_once(monkeypatch):
+    import abckit.bounds as B
+    from abckit.region import check_constraints
+
+    calls = []
+
+    def counted(cfg, grid):
+        calls.append(grid)
+        return scale(cfg, grid)
+
+    scale = B.fast_scale
+    monkeypatch.setattr(B, "fast_scale", counted)
+    cfg = cfg_of([F(1, 10), F(1, 5)], [F(1, 10), F(1, 5)], [F(3, 10), F(0)],
+                 delta=F(1, 1000))
+    for fn in _EVALUATED:
+        fn(cfg)
+    check_constraints(cfg)
+    assert calls == [1000]
 
 
 @settings(max_examples=120, deadline=None)

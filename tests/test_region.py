@@ -81,6 +81,56 @@ def test_constraints_catch_violation():
         rep.record("C9")
 
 
+def _reference_records(cfg):
+    """The rows of check_constraints, written out in Fraction arithmetic."""
+    dl, ep = cfg.delta, cfg.epsilon
+    T = {v: sum(cfg.vector(v), F(0)) for v in "abc"}
+    W = {v: sum((i * x for i, x in enumerate(cfg.vector(v), 1)), F(0)) for v in "abc"}
+    rows = [
+        ("C1-weighted-a", 1 - W["a"]),
+        ("C1-weighted-b", 1 - W["b"]),
+        ("C1-weighted-c-upper", 1 - W["c"]),
+        ("C1-weighted-c-lower", W["c"] - (1 - ep * ep)),
+        *((f"C2-{u}{v}", T[u] + T[v] - (F(33, 50) - ep * ep)) for u, v in ("ab", "ac", "bc")),
+        ("C3-grand-total", 1 + dl - ep - sum(T.values())),
+    ]
+    for v in "abc":
+        rows += [(f"C4-{v}-lower", T[v] - (F(8, 25) - dl)),
+                 (f"C4-{v}-upper", F(17, 50) + dl - ep / 2 - T[v])]
+    return [(name, slack >= 0, slack) for name, slack in rows]
+
+
+def _near_region_vector(rng, d):
+    """A total near 1/3 split over a few random classes."""
+    den = rng.choice((300, 1000, 1200, 3000, 2 * 3 * 7 * 11))
+    left = F(rng.randint(den * 30 // 100, den * 36 // 100), den)
+    vec = [F(0)] * d
+    for i in rng.sample(range(d), rng.randint(1, d)):
+        part = F(rng.randint(0, left.numerator), left.denominator)
+        vec[i] += part
+        left -= part
+    vec[rng.randrange(d)] += left
+    return tuple(vec)
+
+
+def test_constraints_match_a_fraction_reference():
+    # (delta, epsilon) pairs sharing one coordinate, interleaved, so a row
+    # bound kept under the wrong key shows
+    pairs = [(MILLI, MILLI), (MILLI, F(1, 20)), (F(0), F(1, 20)), (F(1, 100), F(0))]
+    rng = Random(1807)
+    seen = set()
+    for k in range(400):
+        d = rng.randint(1, 8)
+        delta, epsilon = pairs[k % len(pairs)]
+        cfg = ExponentConfiguration(
+            d=d, a=_near_region_vector(rng, d), b=_near_region_vector(rng, d),
+            c=_near_region_vector(rng, d), delta=delta, epsilon=epsilon)
+        got = [(r.name, r.satisfied, r.slack) for r in check_constraints(cfg).records]
+        assert got == _reference_records(cfg), cfg
+        seen.update((name, ok) for name, ok, _ in got)
+    assert len(seen) == 2 * len(ROWS)  # every row seen both satisfied and not
+
+
 def test_sampler_feasible_and_deterministic():
     xs = sample_feasible(6, MILLI, MILLI, 25, seed=11)
     ys = sample_feasible(6, MILLI, MILLI, 25, seed=11)
