@@ -60,6 +60,7 @@ from .radicals import (
     factorize,
     is_squarefree,
     radical,
+    radical_segments,
 )
 from .region import (
     ConstraintReport,
@@ -113,6 +114,7 @@ __all__ = [
     "parse_rational",
     "power_factorize",
     "radical",
+    "radical_segments",
     "rational_pow_leq",
     "reduce_triple",
     "sample_feasible",

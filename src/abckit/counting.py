@@ -14,7 +14,9 @@ A per-call budget caps the number of candidate evaluations.  Calls whose
 work estimate exceeds the budget refuse up front with the estimate attached,
 so a script can adapt instead of hanging.  Radical tables are flat arrays of
 machine words (radicals.build_radical_table; 'ab' of count_exceptional_triples
-keeps its own), so memory grows by a few words per n.
+keeps its own), so memory grows by a few words per n.  A count that reads
+each radical once, in order ('scan' of count_radical_bounded), holds no
+table: it walks radicals.radical_segments one block at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from math import gcd, isqrt, prod
 from operator import and_, mul
 
 from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
-from .radicals import BudgetExceeded, build_radical_table, factorize
+from .radicals import (
+    BudgetExceeded,
+    build_radical_table,
+    factorize,
+    radical_segments,
+)
 
 DEFAULT_BUDGET = 10**9
 
@@ -406,10 +413,12 @@ def count_radical_bounded(
 
     The comparison is non-strict, and rad(n)**q <= x**p (lam = p/q) holds
     exactly when rad(n) <= t = iroot(x**p, q).  Strategies: 'scan' sweeps
-    1..x with a sieve table, testing every entry against t, whose bracket
-    t**q <= x**p < (t + 1)**q it checks itself; 'radical-first' enumerates
-    squarefree radicals r <= t and counts, for each, the n <= x whose
-    radical is exactly r.
+    1..x through the sieve's blocks (radicals.radical_segments), testing
+    every entry against t, whose bracket t**q <= x**p < (t + 1)**q it
+    checks itself; it holds one block, never the table, so its memory is
+    O(sqrt(x)) words plus one block.  'radical-first' enumerates squarefree
+    radicals r <= t and counts, for each, the n <= x whose radical is
+    exactly r.
     """
     lam = Fraction(lam)
     if x < 1 or lam < 0:
@@ -420,14 +429,12 @@ def count_radical_bounded(
     t0 = time.perf_counter()
     if strategy == "scan":
         _check_budget("count_radical_bounded", x, budget)
-        rad_of = build_radical_table(x)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here
         xp = x**p
         t = iroot(xp, q)
         if not t**q <= xp < (t + 1) ** q:
             raise ArithmeticError(f"iroot({xp}, {q}) returned {t}")
-        # entry 0 holds 0 <= t: drop its one hit rather than copy the table
-        count = sum(map(t.__ge__, rad_of)) - 1
+        count = sum(sum(map(t.__ge__, block)) for _, block in radical_segments(x))
     else:
         # largest integer r with r^q <= x^p
         threshold = iroot(x**p, q)

@@ -2,11 +2,14 @@
 
 The radical rad(n) is the product of the distinct primes dividing n, with
 rad(1) = 1.  Everything here is exact: bulk work goes through a
-prime-power division sieve over a flat array of machine words, and a
-single argument is fully factored with trial division plus deterministic
-primality testing.  No probabilistic shortcut is ever allowed to decide a
-count: above the proven Miller-Rabin bound a prime cannot be certified
-here, so factorize refuses with BudgetExceeded rather than search for ever.
+segmented prime-power division sieve, which yields rad(n) in blocks of
+SEGMENT machine words and holds only one block and the prime powers up to
+the limit (radical_segments; build_radical_table gathers the blocks into
+one flat table), and a single argument is fully factored with trial
+division plus deterministic primality testing.  No probabilistic shortcut
+is ever allowed to decide a count: above the proven Miller-Rabin bound a
+prime cannot be certified here, so factorize refuses with BudgetExceeded
+rather than search for ever.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ _BLOCKS = _trial_blocks()
 # placeholder so indexing is direct
 RadicalTable = array
 
+# entries per radical_segments block: 256 KiB of machine words
+SEGMENT = 2**15
+
 
 class BudgetExceeded(RuntimeError):
     """Raised when an operation would do more work than allowed."""
@@ -60,30 +66,64 @@ class BudgetExceeded(RuntimeError):
         )
 
 
-def build_radical_table(limit: int) -> RadicalTable:
-    """Table rad_of[n] = rad(n) for 0 <= n <= limit (rad_of[0] = 0), as an
-    array('Q'): 8 bytes per entry.
+def radical_segments(limit: int):
+    """rad(n) for 1 <= n <= limit, yielded block by block as (lo, block)
+    with block[i] = rad(lo + i), each an array('Q').  Block k covers
+    [k * SEGMENT, (k + 1) * SEGMENT) clipped to [1, limit], so the first
+    lo is 1 and each block starts where the last one ended.
 
-    A prime-power division sieve: the table starts as n itself, and for
-    each prime p <= sqrt(limit) and each power p**k >= p**2 up to the
-    limit, every multiple of p**k is divided by p once.  An n with p**e
-    exactly dividing it is divided e - 1 times, which leaves one p.  Each
-    power is one slice assignment, about 0.77 * limit element operations
-    in all.
+    A prime-power division sieve: a block starts as its n themselves, and
+    for each prime p <= sqrt(limit) and each power p**k >= p**2 up to the
+    limit, every multiple of p**k in the block is divided by p once.  An n
+    with p**e exactly dividing it is divided e - 1 times, which leaves one
+    p.  The powers are listed once; each (block, power) pair with a
+    multiple in the block is one slice assignment, about 0.77 * limit
+    element operations in all.  Only the powers and one block are held,
+    O(sqrt(limit)) words plus SEGMENT.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     root = isqrt(limit)
     unmarked = bytearray([1]) * (root + 1)
-    rad = array("Q", range(limit + 1))
+    powers = []  # (p**k, p), ascending in p**k
     for p in range(2, root + 1):
         if not unmarked[p]:
             continue
         unmarked[p * p::p] = bytes(len(range(p * p, root + 1, p)))
         pk = p * p
         while pk <= limit:
-            rad[pk::pk] = array("Q", map(floordiv, rad[pk::pk], repeat(p)))
+            powers.append((pk, p))
             pk *= p
+    powers.sort()
+
+    # a generator of its own, so a bad limit is refused at the call
+    def blocks():
+        lo = 1
+        while lo <= limit:
+            hi = min(lo - lo % SEGMENT + SEGMENT, limit + 1)
+            block = array("Q", range(lo, hi))
+            for pk, p in powers:
+                if pk >= hi:
+                    break  # no multiple of pk, nor of a later power, below hi
+                first = -lo % pk
+                if first < hi - lo:
+                    block[first::pk] = array(
+                        "Q", map(floordiv, block[first::pk], repeat(p)))
+            yield lo, block
+            lo = hi
+
+    return blocks()
+
+
+def build_radical_table(limit: int) -> RadicalTable:
+    """Table rad_of[n] = rad(n) for 0 <= n <= limit (rad_of[0] = 0), as an
+    array('Q'): 8 bytes per entry, allocated once and filled block by block
+    from radical_segments.  A caller that reads the radicals once, in
+    order, walks radical_segments itself and holds one block, not this.
+    """
+    rad = array("Q", [0]) * (limit + 1)
+    for lo, block in radical_segments(limit):
+        rad[lo:lo + len(block)] = block
     return rad
 
 

@@ -27,7 +27,8 @@ from abckit.bounds import (
     evaluate_at,
     geometry_bound,
 )
-from abckit.cli import main
+from abckit import cli
+from abckit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -179,18 +180,19 @@ class _CountingSink:
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_sieve_streams_its_rows(monkeypatch, fmt):
-    # only the 8-byte table is held: the rows are written as they are read
-    limit = 100_000
-    sink = _CountingSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["sieve", "--limit", str(limit), "--format", fmt])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and sink.size > 10 * limit
-    assert peak < 32 * limit
+    # each block's rows are written as it is sieved: one bound on the
+    # peak, whatever the limit
+    for limit in (100_000, 400_000):
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["sieve", "--limit", str(limit), "--format", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 10 * limit
+        assert peak < 10**6, limit
 
 
 def test_sieve_empty_table(capsys):
@@ -200,6 +202,9 @@ def test_sieve_empty_table(capsys):
         ("table", "n  radical\n-  -------\n"),
     ):
         assert run(capsys, "sieve", "--limit", "0", "--format", fmt) == (0, want)
+        # refused before the first byte of a table is written
+        code, doc = run_json(capsys, "sieve", "--limit", "-1", "--format", fmt)
+        assert code == 2 and doc["error"]["kind"] == "invalid-argument"
 
 
 def test_factorize(capsys):
@@ -610,6 +615,41 @@ def test_csv_rejected_where_not_flat(capsys):
     code, doc = run_json(capsys, "verify", "cases", "--format", "csv")
     assert code == 2
     assert doc["error"]["kind"] == "usage"
+
+
+def test_main_reuses_its_parser(capsys, monkeypatch):
+    # one process: a run, an argument error, ABCKIT_BUDGET changed, the
+    # same run again; each gives the bytes and exit code of its own process
+    env = dict(os.environ)
+    env.pop("ABCKIT_BUDGET", None)
+    src = str(Path(abckit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    argv = ["count", "nlambda", "--x", "200", "--lambda", "9/10"]
+    steps = ((argv, None), (argv[:-1] + ["0.9"], None), (argv, "10"))
+    monkeypatch.delenv("ABCKIT_BUDGET", raising=False)
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    kinds = []
+    try:
+        for args, budget in steps:
+            if budget is not None:
+                monkeypatch.setenv("ABCKIT_BUDGET", budget)
+                env["ABCKIT_BUDGET"] = budget
+            got = run(capsys, *args)
+            proc = subprocess.run(
+                [sys.executable, "-m", "abckit", *args],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert got == (proc.returncode, proc.stdout), args
+            kinds.append((got[0], json.loads(got[1]).get("error", {}).get("kind")))
+    finally:
+        cli._parser.cache_clear()
+    assert kinds == [(0, None), (2, "usage"), (2, "budget-exceeded")]
+    assert len(built) == 1
 
 
 def test_help_names_the_technique(capsys):

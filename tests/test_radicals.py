@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from array import array
 from math import gcd
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from abckit import counting, radicals
 from abckit.radicals import (
+    SEGMENT,
     BudgetExceeded,
     build_radical_table,
     factorize,
     is_squarefree,
     radical,
+    radical_segments,
 )
 
 
@@ -49,12 +52,31 @@ def test_table_matches_oracle():
 
 def test_table_matches_oracle_at_prime_powers():
     # limits at and around higher prime powers, where a division slice
-    # first starts
+    # first starts, and on both sides of the first two segment boundaries,
+    # where 2**15 and 2**16 each land exactly on a block start
+    assert SEGMENT == 2**15
     limits = (7, 8, 9, 15, 16, 26, 27, 28, 31, 32, 63, 64, 124, 125, 128,
-              343, 1024, 2187, 65536)
+              343, 1024, 2187, 32767, 32768, 32769, 65535, 65536, 65537)
+    oracle = [0] + [naive_radical(n) for n in range(1, max(limits) + 1)]
     for limit in limits:
-        want = [0] + [naive_radical(n) for n in range(1, limit + 1)]
-        assert build_radical_table(limit).tolist() == want, limit
+        assert build_radical_table(limit).tolist() == oracle[:limit + 1], limit
+
+
+def test_segments_run_contiguously_from_1():
+    # blocks [k * SEGMENT, (k + 1) * SEGMENT) clipped to [1, limit], which
+    # concatenate to the table
+    for limit in (0, 1, 2, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT,
+                  3 * SEGMENT + 5):
+        joined = array("Q", [0])
+        nxt = 1
+        for lo, block in radical_segments(limit):
+            assert lo == nxt and (lo == 1 or lo % SEGMENT == 0), (limit, lo)
+            assert 0 < len(block) <= SEGMENT - lo % SEGMENT
+            assert block.typecode == "Q"
+            joined.extend(block)
+            nxt = lo + len(block)
+        assert nxt == limit + 1
+        assert joined == build_radical_table(limit), limit
 
 
 def test_table_memory_is_bounded_per_entry():
@@ -179,6 +201,8 @@ def test_domain_errors():
         factorize(0)
     with pytest.raises(ValueError):
         build_radical_table(-1)
+    with pytest.raises(ValueError):
+        radical_segments(-1)  # at the call, before any block is asked for
     with pytest.raises(ValueError):
         is_squarefree(0)
 
