@@ -27,9 +27,10 @@ own denominators once, as ExponentConfiguration.grid, and keeps it; the
 public evaluators run a core on that grid and return a BoundReport with
 an exact Fraction, and fast_best runs the same cores on a caller's grid
 for bulk search.  Two independent checks stay beside the cores:
-evaluate_at replays a defining formula at a witness in Fraction
-arithmetic, and the geometry subset search, by branch-and-bound, can be
-cross-checked by full enumeration.
+evaluate_at replays a defining formula at a witness in integers, over
+the lcm of the configuration's own denominators taken afresh on each
+call (never cfg.grid), and the geometry subset search, by
+branch-and-bound, can be cross-checked by full enumeration.
 
 The geometry search covers the deficit that the free class-1 entries
 leave with items of rate (i - 1)/i, in rate order.  Its completion bound
@@ -568,60 +569,111 @@ def best_of(reports: Iterable[BoundReport]) -> BoundReport:
     return BoundReport("best", best.value, {"method": best.method, "witness": best.witness})
 
 
+def _over(vec: Sequence[Fraction], scale: int) -> list[int]:
+    """The entries of vec as integer numerators over scale, a multiple of
+    every denominator among them."""
+    return [f.numerator * (scale // f.denominator) for f in vec]
+
+
+def _class_index(i: int, d: int) -> int:
+    """The 0-based position of class i, refused unless 1 <= i <= d."""
+    if not 1 <= i <= d:
+        raise ValueError(f"class index {i} outside 1..{d}")
+    return i - 1
+
+
+def _replay_trivial(cfg, witness, scale, dn):
+    u, v = witness["pair"]
+    return sum(_over(cfg.vector(u) + cfg.vector(v), scale)), scale
+
+
+def _replay_fourier(cfg, witness, scale, dn):
+    # (1 + delta + series - sub) / 2, over 2 * scale
+    u, v = witness["pair"]
+    uv, vv = _over(cfg.vector(u), scale), _over(cfg.vector(v), scale)
+    series = sum(map(max, uv, vv))
+    m = witness["m"]
+    if m is None:
+        sub = 0
+    else:
+        k = _class_index(m, cfg.d)
+        sub = max(uv[k], vv[k])
+    return scale + dn + series - sub, 2 * scale
+
+
+def _replay_extended_fourier(cfg, witness, scale, dn):
+    # as fourier, the subtracted term pooling class i of the second vector
+    u, v = witness["pair"]
+    uv, vv = _over(cfg.vector(u), scale), _over(cfg.vector(v), scale)
+    series = sum(map(max, uv, vv))
+    i = witness["i"]
+    sub = 0 if i is None else sum(vv[_class_index(i, cfg.d)::i])
+    return scale + dn + series - sub, 2 * scale
+
+
+def _replay_geometry(cfg, witness, scale, dn):
+    # delta + max(1, W) - S, over scale
+    w = s = 0
+    for name, key in zip(VECTOR_NAMES, ("I", "Ip", "Ipp")):
+        vec = cfg.vector(name)
+        for i in witness[key]:
+            f = vec[_class_index(i, cfg.d)]
+            x = f.numerator * (scale // f.denominator)
+            w += i * x
+            s += x
+    return dn + max(scale, w) - s, scale
+
+
+def _replay_determinant(cfg, witness, scale, dn):
+    # over scale * p * q, min(u_p / q, v_q / p) is min(U * p, V * q)
+    u, v = witness["pair"]
+    p, q = witness["p"], witness["q"]
+    up, vq = _over((cfg.vector(u)[_class_index(p, cfg.d)],
+                    cfg.vector(v)[_class_index(q, cfg.d)]), scale)
+    pq = p * q
+    return (scale + dn - up - vq) * pq + min(up * p, vq * q), scale * pq
+
+
+def _replay_thue(cfg, witness, scale, dn):
+    p = witness["p"]
+    if p is None:
+        return scale + dn, scale
+    u, v = witness["pair"]
+    k = _class_index(p, cfg.d)
+    sub = sum(_over(cfg.vector(u)[k::p] + cfg.vector(v)[k::p], scale))
+    return scale + dn - sub, scale
+
+
+_REPLAYS = {
+    "trivial": _replay_trivial,
+    "fourier": _replay_fourier,
+    "geometry": _replay_geometry,
+    "determinant": _replay_determinant,
+    "thue": _replay_thue,
+    EXTENDED_METHOD: _replay_extended_fourier,
+}
+
+
 def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fraction:
     """Replay a bound formula at a pinned witness, exactly.
 
     For the minimizing methods this reproduces BoundReport.value, which is
-    what the report-validity tests assert.  It shares no code with the
-    integer cores, so it checks them.
+    what the report-validity tests assert.  Each call puts the entries it
+    reads, and delta, over the lcm of the configuration's own denominators
+    and evaluates the formula in integers; the one Fraction it builds is
+    the result.  It shares no code with the integer cores, and reads
+    neither cfg.grid nor fast_scale, so it checks them.  A class index
+    outside 1..d is refused with ValueError.
     """
-    if method == "trivial":
-        u, v = witness["pair"]
-        return cfg.total(u) + cfg.total(v)
-    if method == "fourier":
-        u, v = witness["pair"]
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
-        m = witness["m"]
-        sub = max(uv[m - 1], vv[m - 1]) if m is not None else Fraction(0)
-        return (1 + cfg.delta + series - sub) / 2
-    if method == EXTENDED_METHOD:
-        u, v = witness["pair"]
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
-        i = witness["i"]
-        sub = (
-            sum((vv[j - 1] for j in range(i, cfg.d + 1, i)), Fraction(0))
-            if i is not None
-            else Fraction(0)
-        )
-        return (1 + cfg.delta + series - sub) / 2
-    if method == "geometry":
-        w = s = Fraction(0)
-        for name, key in zip(VECTOR_NAMES, ("I", "Ip", "Ipp")):
-            vec = cfg.vector(name)
-            for i in witness[key]:
-                w += i * vec[i - 1]
-                s += vec[i - 1]
-        return cfg.delta + max(Fraction(1), w) - s
-    if method == "determinant":
-        u, v = witness["pair"]
-        up = cfg.vector(u)[witness["p"] - 1]
-        vq = cfg.vector(v)[witness["q"] - 1]
-        return 1 + cfg.delta - up - vq + min(up / witness["q"], vq / witness["p"])
-    if method == "thue":
-        if witness["p"] is None:
-            return 1 + cfg.delta
-        u, v = witness["pair"]
-        uv, vv = cfg.vector(u), cfg.vector(v)
-        sub = sum(
-            (uv[i - 1] + vv[i - 1] for i in range(witness["p"], cfg.d + 1, witness["p"])),
-            Fraction(0),
-        )
-        return 1 + cfg.delta - sub
     if method == "best":
         return evaluate_at(cfg, witness["method"], witness["witness"])
-    raise ValueError(f"unknown method {method!r}")
+    replay = _REPLAYS.get(method)
+    if replay is None:
+        raise ValueError(f"unknown method {method!r}")
+    delta = cfg.delta
+    scale = lcm(delta.denominator, *[f.denominator for f in cfg.a + cfg.b + cfg.c])
+    dn = delta.numerator * (scale // delta.denominator)
+    return Fraction(*replay(cfg, witness, scale, dn))
 
 
 # --- bulk search on a caller's grid --------------------------------------------

@@ -14,8 +14,9 @@ Conventions, uniform across subcommands:
     fields in order
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
     errors and budget refusals, which emit a machine-readable error object
-  * ABCKIT_BUDGET sets the default budget for the count commands and
-    `sieve` (table entries)
+  * ABCKIT_BUDGET sets the default budget for the count commands,
+    `sieve` (table entries) and `verify region` (draws plus hill-climb
+    moves)
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .counting import (
 from .exact import format_rational, parse_rational
 from .powerfact import reduce_triple, verify_power_factorization
 from .radicals import factorize, is_squarefree, radical, radical_segments
-from .region import maximize_nu
+from .region import hill_climbs, maximize_nu
 
 SCHEMA = "abckit/1"
 
@@ -103,22 +104,23 @@ def _print_csv(header, rows) -> None:
 
 
 def _print_table(header, rows, widths=None) -> None:
-    """Print rows under header, each column as wide as its widest cell.
-    Given the widths (each at least its header's), rows may be any
-    iterable and are written as they come."""
+    """Print rows under header, each column as wide as its widest cell,
+    with two spaces between columns and no trailing blanks.  Given the
+    widths (each at least its header's), rows may be any iterable and
+    are written as they come."""
     if widths is None:
         rows = [[str(x) for x in row] for row in rows]
         widths = [
             max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
             for i, h in enumerate(header)
         ]
-    line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    sys.stdout.write(line.rstrip() + "\n")
-    sys.stdout.write("  ".join("-" * w for w in widths) + "\n")
+    # one format for every line: each cell as str, padded to its width
+    line = "  ".join(f"{{!s:<{w}}}" for w in widths).format
+    write = sys.stdout.write
+    write(line(*header).rstrip() + "\n")
+    write("  ".join("-" * w for w in widths) + "\n")
     for row in rows:
-        sys.stdout.write(
-            "  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-        )
+        write(line(*row).rstrip() + "\n")
 
 
 def _jsonify(value):
@@ -223,13 +225,19 @@ def _cmd_rad(args) -> int:
     return 0
 
 
+def _check_budget(args, operation: str, estimate: int) -> None:
+    """Refuse with BudgetExceeded when estimate exceeds the budget:
+    --budget, else ABCKIT_BUDGET, else DEFAULT_BUDGET."""
+    budget = _default_budget(args)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if estimate > budget:
+        raise BudgetExceeded(operation, estimate, budget)
+
+
 def _cmd_sieve(args) -> int:
     # rows are written block by block as the sieve yields them, so only one
     # block is held; refuse before sieving any of it
-    budget = _default_budget(args)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if args.limit > budget:
-        raise BudgetExceeded("build_radical_table", args.limit, budget)
+    _check_budget(args, "build_radical_table", args.limit)
     rows = ((n, r) for lo, block in radical_segments(args.limit)
             for n, r in enumerate(block, lo))
     if args.format == "json":
@@ -382,6 +390,9 @@ def _cmd_bounds_eval(args) -> int:
 
 
 def _cmd_verify_region(args) -> int:
+    # every draw and hill-climb move is one evaluation; refuse before the
+    # search allocates anything
+    _check_budget(args, "maximize_nu", args.samples + hill_climbs(args.samples))
     report = maximize_nu(
         args.d, args.delta, args.epsilon, budget=args.samples, seed=args.seed,
         threshold=args.threshold, methods=args.methods, streams=args.streams,
@@ -589,6 +600,7 @@ def build_parser() -> _Parser:
     p.add_argument("--streams", type=int, default=8)
     p.add_argument("--grid", type=int, default=None,
                    help="lattice denominator override")
+    _add_budget(p)
     _add_format(p)
     p.set_defaults(func=_cmd_verify_region)
 

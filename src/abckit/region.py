@@ -569,6 +569,12 @@ class RegionSearchReport:
 _HILL_FRACTION = F(15, 100)
 
 
+def hill_climbs(budget: int) -> int:
+    """The hill-climb moves maximize_nu adds to a sampling budget: 15% of
+    it, rounded down."""
+    return int(budget * _HILL_FRACTION)
+
+
 def _hill_steps(scale: int) -> tuple[int, ...]:
     return tuple(
         s for s in (scale // 100, scale // 1000, scale // 10000) if s > 0
@@ -835,7 +841,7 @@ def maximize_nu(
         lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
         return empty(f"region empty at d={d}: the C4 totals window "
                      f"[{lo}, {hi}] is empty; nothing to search")
-    climbs_total = int(budget * _HILL_FRACTION)
+    climbs_total = hill_climbs(budget)
 
     def task(k: int):
         # stream 0 also takes the remainders

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from abckit.bounds import (
     EXTENDED_METHOD,
     METHOD_NAMES,
+    VECTOR_NAMES,
     ExponentConfiguration,
     SubsetSearchRefusal,
     _cover_branch_bound,
@@ -28,6 +29,7 @@ from abckit.bounds import (
     trivial_bound,
 )
 from abckit.cli import main
+from abckit.region import sample_feasible
 
 F = Fraction
 
@@ -319,6 +321,153 @@ def test_cores_replay_to_first_minimizer():
             num, den, method = fast_best(vecs, dn, grid, methods)
             rep = best_bound(cfg, methods=methods)
             assert (F(num, den), method) == (rep.value, rep.witness["method"])
+
+
+# --- the integer replay against the Fraction replay it replaced ---
+
+
+def _fraction_replay(cfg, method, witness):
+    """evaluate_at as it was in Fraction arithmetic, kept as the reference."""
+    if method == "trivial":
+        u, v = witness["pair"]
+        return cfg.total(u) + cfg.total(v)
+    if method == "fourier":
+        u, v = witness["pair"]
+        uv, vv = cfg.vector(u), cfg.vector(v)
+        series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
+        m = witness["m"]
+        sub = max(uv[m - 1], vv[m - 1]) if m is not None else Fraction(0)
+        return (1 + cfg.delta + series - sub) / 2
+    if method == EXTENDED_METHOD:
+        u, v = witness["pair"]
+        uv, vv = cfg.vector(u), cfg.vector(v)
+        series = sum((max(x, y) for x, y in zip(uv, vv)), Fraction(0))
+        i = witness["i"]
+        sub = (
+            sum((vv[j - 1] for j in range(i, cfg.d + 1, i)), Fraction(0))
+            if i is not None
+            else Fraction(0)
+        )
+        return (1 + cfg.delta + series - sub) / 2
+    if method == "geometry":
+        w = s = Fraction(0)
+        for name, key in zip(VECTOR_NAMES, ("I", "Ip", "Ipp")):
+            vec = cfg.vector(name)
+            for i in witness[key]:
+                w += i * vec[i - 1]
+                s += vec[i - 1]
+        return cfg.delta + max(Fraction(1), w) - s
+    if method == "determinant":
+        u, v = witness["pair"]
+        up = cfg.vector(u)[witness["p"] - 1]
+        vq = cfg.vector(v)[witness["q"] - 1]
+        return 1 + cfg.delta - up - vq + min(up / witness["q"], vq / witness["p"])
+    if method == "thue":
+        if witness["p"] is None:
+            return 1 + cfg.delta
+        u, v = witness["pair"]
+        uv, vv = cfg.vector(u), cfg.vector(v)
+        sub = sum(
+            (uv[i - 1] + vv[i - 1] for i in range(witness["p"], cfg.d + 1, witness["p"])),
+            Fraction(0),
+        )
+        return 1 + cfg.delta - sub
+    if method == "best":
+        return _fraction_replay(cfg, witness["method"], witness["witness"])
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _assert_replays_match(cfg, method, witness):
+    got = evaluate_at(cfg, method, witness)
+    assert type(got) is Fraction
+    assert got == _fraction_replay(cfg, method, witness), (method, witness, cfg)
+
+
+def test_integer_replay_equals_the_fraction_replay():
+    rng = random.Random(2020)
+    configs = [_random_cfg(rng, d=d) for d in range(1, 5) for _ in range(40)]
+    for d, seed in ((6, 61), (8, 81), (10, 101)):
+        configs += sample_feasible(d, F(1, 1000), F(1, 1000), 8, seed=seed)
+    for cfg in configs:
+        for fn in _EVALUATED:
+            rep = fn(cfg)
+            assert evaluate_at(cfg, rep.method, rep.witness) == rep.value
+            _assert_replays_match(cfg, rep.method, rep.witness)
+        # every witness of the scanned methods, not just the minimizers
+        for method in _REPLAYED:
+            for witness in _witness_space(method, cfg.d):
+                _assert_replays_match(cfg, method, witness)
+        geometry = geometry_bound(cfg).witness
+        _assert_replays_match(cfg, "geometry", geometry)
+        _assert_replays_match(cfg, "geometry",
+                              {"I": [], "Ip": list(range(1, cfg.d + 1)), "Ipp": [1]})
+
+
+def test_integer_replay_edge_witnesses():
+    cfg = cfg_of([F(1, 5)], [F(3, 10)], [F(2, 5)], delta=F(1, 7))
+    # fourier at d = 1 subtracts nothing; so does thue with no p
+    for witness in ({"pair": ["a", "b"], "m": None}, {"pair": ["b", "c"], "m": None}):
+        _assert_replays_match(cfg, "fourier", witness)
+    _assert_replays_match(cfg, "thue", {"pair": None, "p": None})
+    assert evaluate_at(cfg, "thue", {"pair": None, "p": None}) == F(8, 7)
+    wide = cfg_of([F(1, 6), F(1, 4), F(0)], [F(1, 9), F(0), F(2, 15)],
+                  [F(1, 2), F(1, 8), F(1, 10)], delta=F(3, 1000))
+    for pair in _ORDERED_PAIRS:
+        _assert_replays_match(wide, EXTENDED_METHOD, {"pair": pair, "i": None})
+    # a determinant tie: u_p * p == v_q * q, so u_p / q == v_q / p
+    tie = cfg_of([F(0), F(1, 6), F(0)], [F(0), F(0), F(1, 9)], [F(0)] * 3,
+                 delta=F(1, 1000))
+    witness = {"pair": ["a", "b"], "p": 2, "q": 3}
+    assert tie.a[1] * 2 == tie.b[2] * 3
+    _assert_replays_match(tie, "determinant", witness)
+    assert evaluate_at(tie, "determinant", witness) == (
+        1 + F(1, 1000) - F(1, 6) - F(1, 9) + F(1, 18))
+    # best replays the winner's witness
+    rep = best_bound(tie, methods=METHOD_NAMES + (EXTENDED_METHOD,))
+    _assert_replays_match(tie, "best", rep.witness)
+
+
+def test_replay_is_independent_of_the_cores(monkeypatch):
+    import abckit.bounds as B
+
+    rng = random.Random(77)
+    configs = [_random_cfg(rng, d=d) for d in (1, 2, 3, 4) for _ in range(5)]
+    configs += sample_feasible(6, F(1, 1000), F(1, 1000), 3, seed=6)
+    reports = [(cfg, fn(cfg)) for cfg in configs for fn in _EVALUATED]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_at reached an integer core")
+
+    monkeypatch.setattr(B, "fast_scale", refuse)
+    for name in B._CORES:
+        monkeypatch.setitem(B._CORES, name, refuse)
+    for cfg, rep in reports:
+        fresh = _fresh(cfg)
+        assert evaluate_at(fresh, rep.method, rep.witness) == rep.value
+        assert "grid" not in fresh.__dict__
+
+
+@pytest.mark.parametrize("method, witness", [
+    ("geometry", {"I": [0], "Ip": [], "Ipp": []}),
+    ("geometry", {"I": [], "Ip": [4], "Ipp": []}),
+    ("geometry", {"I": [], "Ip": [], "Ipp": [-1]}),
+    ("determinant", {"pair": ["a", "b"], "p": 0, "q": 1}),
+    ("determinant", {"pair": ["a", "b"], "p": 1, "q": 4}),
+    ("determinant", {"pair": ["b", "c"], "p": -2, "q": 2}),
+    ("fourier", {"pair": ["a", "b"], "m": 0}),
+    ("fourier", {"pair": ["a", "c"], "m": 4}),
+    (EXTENDED_METHOD, {"pair": ["a", "b"], "i": 0}),
+    (EXTENDED_METHOD, {"pair": ["c", "a"], "i": -3}),
+    ("thue", {"pair": ["a", "b"], "p": 0}),
+    ("thue", {"pair": ["a", "b"], "p": 5}),
+    ("best", {"method": "determinant",
+              "witness": {"pair": ["a", "b"], "p": 3, "q": 0}}),
+])
+def test_replay_refuses_class_indices_outside_1_to_d(method, witness):
+    cfg = cfg_of([F(1, 5), F(1, 10), F(1, 20)], [F(1, 4), F(0), F(1, 8)],
+                 [F(1, 3), F(1, 6), F(1, 9)], delta=F(1, 1000))
+    with pytest.raises(ValueError, match=r"class index -?\d+ outside 1\.\.3"):
+        evaluate_at(cfg, method, witness)
 
 
 def test_best_bound_method_lists():

@@ -207,6 +207,24 @@ def test_sieve_empty_table(capsys):
         assert code == 2 and doc["error"]["kind"] == "invalid-argument"
 
 
+def test_table_bytes(capsys):
+    # 12 is not squarefree, so the radical column's width comes from 11
+    want = ("n   radical\n"
+            "--  -------\n"
+            + "".join(f"{n:<2}  {r}\n" for n, r in (
+                (1, 1), (2, 2), (3, 3), (4, 2), (5, 5), (6, 6), (7, 7),
+                (8, 2), (9, 3), (10, 10), (11, 11), (12, 6))))
+    assert run(capsys, "sieve", "--limit", "12", "--format", "table") == (0, want)
+    # widths from the cells, and an empty last column leaves no blanks
+    cli._print_table(["check", "result", "note"],
+                     [["C1", True, ""], ["a-long-name", 7, "tight"]])
+    assert capsys.readouterr().out == (
+        "check        result  note\n"
+        "-----------  ------  -----\n"
+        "C1           True\n"
+        "a-long-name  7       tight\n")
+
+
 def test_factorize(capsys):
     code, doc = run_json(capsys, "factorize", "360")
     assert code == 0
@@ -364,6 +382,43 @@ def test_verify_region_huge_streams(capsys):
     assert code11 == 0
     assert (doc.pop("streams"), doc11.pop("streams")) == (10**9, 11)
     assert doc == doc11
+
+
+def test_verify_region_budget_refuses_before_searching(capsys, monkeypatch):
+    # draws plus the hill-climb allowance (15%, rounded down) count against
+    # the budget; a refusal never reaches maximize_nu
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "maximize_nu", no_search)
+    monkeypatch.delenv("ABCKIT_BUDGET", raising=False)
+    argv = ("verify", "region", "--d", "6", "--delta", "1/1000",
+            "--epsilon", "1/1000")
+    start = time.perf_counter()
+    code, doc = run_json(capsys, *argv, "--samples", "1000000000",
+                         "--streams", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert doc["error"] == {
+        "kind": "budget-exceeded", "operation": "maximize_nu",
+        "estimate": 1_150_000_000, "budget": 10**9,
+        "message": doc["error"]["message"],
+    }
+    code, doc = run_json(capsys, *argv, "--samples", "100", "--budget", "114")
+    assert code == 2 and doc["error"]["estimate"] == 115
+    monkeypatch.setenv("ABCKIT_BUDGET", "22")
+    code, doc = run_json(capsys, *argv, "--samples", "20")
+    assert code == 2 and (doc["error"]["estimate"], doc["error"]["budget"]) == (23, 22)
+
+
+def test_verify_region_within_budget_runs(capsys, monkeypatch):
+    # a budget that covers the draws and the climbs exactly lets it run
+    monkeypatch.setenv("ABCKIT_BUDGET", "1")
+    code, doc = run_json(capsys, "verify", "region", "--d", "6",
+                         "--delta", "1/1000", "--epsilon", "1/1000",
+                         "--samples", "100", "--budget", "115")
+    assert code == 0
+    assert doc["strategy_mix"]["draws"] + doc["strategy_mix"]["hill"] == 115
 
 
 def test_reduce_triple_tiny_epsilon_is_sparse(capsys):
@@ -719,6 +774,14 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "region-table": (
         _REGION + ("--format", "table"),
         0, "287413f9192e5eaef9e1ccd21051d7f2e6ea6de992a35f3d75f4aa1dfba5873a"),
+    "region-2000-json": (
+        ("verify", "region", "--d", "6", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--samples", "2000"),
+        0, "0006a58984693e877ec4ce6fae156d770010a30944458ba00a8ce433c131cfbf"),
+    "region-2000-table": (
+        ("verify", "region", "--d", "6", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--samples", "2000", "--format", "table"),
+        0, "4f05c197278d989f82d7edf903ed4cc4f4b6c67bd89d68199ecf668de8c9ad3c"),
     "region-empty-json": (
         ("verify", "region", "--d", "2", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "10"),
