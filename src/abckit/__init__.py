@@ -55,7 +55,6 @@ from .powerfact import (
     verify_power_factorization,
 )
 from .radicals import (
-    RadicalTable,
     build_radical_table,
     factorize,
     is_squarefree,
@@ -83,7 +82,6 @@ __all__ = [
     "CountResult",
     "ExponentConfiguration",
     "PowerFactorization",
-    "RadicalTable",
     "RegionSearchReport",
     "SubsetSearchRefusal",
     "TernaryQuery",

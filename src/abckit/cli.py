@@ -4,8 +4,9 @@ One subcommand per operation family: `rad`, `sieve`, `factorize`,
 `reduce-triple`, `count {nlambda|s|debruijn|bd|ternary}`, `bounds eval`,
 `verify {region|cases}`.
 
-Conventions, uniform across subcommands:
-  * exactly one JSON document on stdout (CSV/table on request); anything
+Conventions, uniform across subcommands, each implemented once:
+  * exactly one JSON document on stdout (CSV/table on request, all three
+    written by _emit; `sieve` streams its rows instead); anything
     diagnostic goes to stderr
   * rationals cross the boundary as "p/q" strings in both directions --
     decimals are rejected so exactness survives the round trip
@@ -13,10 +14,11 @@ Conventions, uniform across subcommands:
     key order, deterministic seeds); a report is an object of its dataclass
     fields in order
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
-    errors and budget refusals, which emit a machine-readable error object
-  * ABCKIT_BUDGET sets the default budget for the count commands,
-    `sieve` (table entries) and `verify region` (draws plus hill-climb
-    moves)
+    errors, bad input files, invalid arguments and budget refusals, which
+    main prints as one error object {"kind", ..., "message"}
+  * the budget is --budget, else ABCKIT_BUDGET, else 10**9 (_budget); it
+    caps the count commands, `sieve` (table entries) and `verify region`
+    (draws plus hill-climb moves), each checked by counting.check_budget
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .counting import (
     BoxSpec,
     BudgetExceeded,
     TernaryQuery,
+    check_budget,
     count_bd,
     count_exceptional_triples,
     count_radical_bounded,
@@ -59,11 +62,11 @@ SCHEMA = "abckit/1"
 
 
 class _CliError(Exception):
-    def __init__(self, kind: str, message: str, **extra):
+    """A refusal of the given kind; main prints it as an error object."""
+
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.message = message
-        self.extra = extra
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,13 +117,25 @@ def _print_table(header, rows, widths=None) -> None:
             max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
             for i, h in enumerate(header)
         ]
-    # one format for every line: each cell as str, padded to its width
-    line = "  ".join(f"{{!s:<{w}}}" for w in widths).format
+    # one format for every line: each cell as str, padded to its width but
+    # the last, so only a line whose last cell is empty has blanks to strip
+    line = "  ".join([*(f"{{!s:<{w}}}" for w in widths[:-1]), "{!s}\n"]).format
     write = sys.stdout.write
-    write(line(*header).rstrip() + "\n")
+    write(line(*header))
     write("  ".join("-" * w for w in widths) + "\n")
     for row in rows:
-        write(line(*row).rstrip() + "\n")
+        write(line(*row) if row[-1] != "" else line(*row).rstrip() + "\n")
+
+
+def _emit(fmt: str, payload, header, rows) -> None:
+    """Print payload as JSON, or header and rows (any iterable, read only
+    for those formats) as CSV or a table."""
+    if fmt == "json":
+        _print_json(payload)
+    elif fmt == "csv":
+        _print_csv(header, rows)
+    else:
+        _print_table(header, rows)
 
 
 def _jsonify(value):
@@ -143,20 +158,33 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _CliError("bad-file", f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _CliError("bad-file", f"{path} is not valid JSON: {exc}")
 
 
-def _default_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+def _read_doc(path: str, read):
+    """read(doc, path) on the JSON object in the file at path; a missing key
+    or a value read refuses with ValueError is a bad-file error naming it."""
+    doc = _load_json_file(path)
+    if not isinstance(doc, dict):
+        raise _CliError("bad-file", f"{path}: expected a JSON object")
+    try:
+        return read(doc, path)
+    except KeyError as exc:
+        raise _CliError("bad-file", f"{path}: missing key {exc.args[0]!r}")
+    except ValueError as exc:
+        raise _CliError("bad-file", f"{path}: {exc}")
+
+
+def _budget(args) -> int:
+    """--budget, else ABCKIT_BUDGET, else DEFAULT_BUDGET."""
+    if args.budget is not None:
         return args.budget
-    env = os.environ.get("ABCKIT_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _CliError("usage", f"ABCKIT_BUDGET must be an integer, got {env!r}")
-    return None
+    env = os.environ.get("ABCKIT_BUDGET", DEFAULT_BUDGET)
+    try:
+        return int(env)
+    except ValueError:
+        raise _CliError("usage", f"ABCKIT_BUDGET must be an integer, got {env!r}")
 
 
 def _json_value(value, kind: type, what: str, where: str):
@@ -172,24 +200,15 @@ def _doc_field(doc, key: str, kind: type, where: str):
     return _json_value(doc[key], kind, repr(key), where)
 
 
-def _config_from_doc(doc, where: str) -> ExponentConfiguration:
-    if not isinstance(doc, dict):
-        raise _CliError("bad-file", f"{where}: expected a JSON object")
-    try:
-        d = _doc_field(doc, "d", int, where)
-        vecs = {}
-        for name in ("a", "b", "c"):
-            vals = _doc_field(doc, name, list, where)
-            vecs[name] = tuple(parse_rational(str(x)) for x in vals)
-        delta = parse_rational(str(doc.get("delta", "0")))
-        epsilon = parse_rational(str(doc.get("epsilon", "0")))
-    except KeyError as exc:
-        raise _CliError("bad-file", f"{where}: missing key {exc.args[0]!r}")
-    except ValueError as exc:
-        raise _CliError("bad-file", f"{where}: {exc}")
-    return ExponentConfiguration(
-        d=d, a=vecs["a"], b=vecs["b"], c=vecs["c"], delta=delta, epsilon=epsilon
-    )
+def _config_fields(doc, where: str) -> dict:
+    """The ExponentConfiguration fields of a config document."""
+    out = {"d": _doc_field(doc, "d", int, where)}
+    for name in ("a", "b", "c"):
+        vals = _doc_field(doc, name, list, where)
+        out[name] = tuple(parse_rational(str(x)) for x in vals)
+    for name in ("delta", "epsilon"):
+        out[name] = parse_rational(str(doc.get(name, "0")))
+    return out
 
 
 def _emit_count(result, fmt: str, **extra) -> int:
@@ -206,14 +225,8 @@ def _emit_count(result, fmt: str, **extra) -> int:
         "strategy": result.strategy,
         **extra,
     }
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        _print_csv(["query", "count", "strategy"],
-                   [[result.query, result.count, result.strategy]])
-    else:
-        _print_table(["query", "count", "strategy"],
-                     [[result.query, result.count, result.strategy]])
+    _emit(fmt, payload, ["query", "count", "strategy"],
+          [[result.query, result.count, result.strategy]])
     return 0
 
 
@@ -225,19 +238,10 @@ def _cmd_rad(args) -> int:
     return 0
 
 
-def _check_budget(args, operation: str, estimate: int) -> None:
-    """Refuse with BudgetExceeded when estimate exceeds the budget:
-    --budget, else ABCKIT_BUDGET, else DEFAULT_BUDGET."""
-    budget = _default_budget(args)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if estimate > budget:
-        raise BudgetExceeded(operation, estimate, budget)
-
-
 def _cmd_sieve(args) -> int:
     # rows are written block by block as the sieve yields them, so only one
     # block is held; refuse before sieving any of it
-    _check_budget(args, "build_radical_table", args.limit)
+    check_budget("build_radical_table", args.limit, _budget(args))
     rows = ((n, r) for lo, block in radical_segments(args.limit)
             for n, r in enumerate(block, lo))
     if args.format == "json":
@@ -305,7 +309,7 @@ def _cmd_reduce_triple(args) -> int:
 def _cmd_count_nlambda(args) -> int:
     result = count_exceptional_triples(
         args.x, args.lam, ordered=not args.unordered,
-        strategy=args.strategy, budget=_default_budget(args),
+        strategy=args.strategy, budget=_budget(args),
     )
     return _emit_count(result, args.format)
 
@@ -313,47 +317,40 @@ def _cmd_count_nlambda(args) -> int:
 def _cmd_count_s(args) -> int:
     result = count_s(
         args.x, args.alpha, args.beta, args.gamma, star=args.star,
-        strategy=args.strategy, budget=_default_budget(args),
+        strategy=args.strategy, budget=_budget(args),
     )
     return _emit_count(result, args.format)
 
 
 def _cmd_count_debruijn(args) -> int:
     result = count_radical_bounded(
-        args.x, args.lam, strategy=args.strategy, budget=_default_budget(args)
+        args.x, args.lam, strategy=args.strategy, budget=_budget(args)
     )
     return _emit_count(result, args.format)
 
 
 def _box_from_doc(doc, where: str) -> BoxSpec:
-    if not isinstance(doc, dict):
-        raise _CliError("bad-file", f"{where}: expected a JSON object")
-    try:
-        anchors = [
-            tuple(parse_rational(str(x)) for x in _doc_field(doc, key, list, where))
-            for key in ("X", "Y", "Z")
-        ]
-        # "c" is the documented key; "coefficients" accepted as an alias
-        key = "coefficients" if "c" not in doc and "coefficients" in doc else "c"
-        a_exp = doc.get("A")
-        return BoxSpec(
-            d=_doc_field(doc, "d", int, where),
-            coefficients=tuple(
-                _json_value(c, int, f"{key!r} entry", where)
-                for c in _doc_field(doc, key, list, where)
-            ),
-            X=anchors[0], Y=anchors[1], Z=anchors[2],
-            A=None if a_exp is None else parse_rational(str(a_exp)),
-        )
-    except KeyError as exc:
-        raise _CliError("bad-file", f"{where}: missing key {exc.args[0]!r}")
-    except ValueError as exc:
-        raise _CliError("bad-file", f"{where}: {exc}")
+    anchors = [
+        tuple(parse_rational(str(x)) for x in _doc_field(doc, key, list, where))
+        for key in ("X", "Y", "Z")
+    ]
+    # "c" is the documented key; "coefficients" accepted as an alias
+    key = "coefficients" if "c" not in doc and "coefficients" in doc else "c"
+    a_exp = doc.get("A")
+    return BoxSpec(
+        d=_doc_field(doc, "d", int, where),
+        coefficients=tuple(
+            _json_value(c, int, f"{key!r} entry", where)
+            for c in _doc_field(doc, key, list, where)
+        ),
+        X=anchors[0], Y=anchors[1], Z=anchors[2],
+        A=None if a_exp is None else parse_rational(str(a_exp)),
+    )
 
 
 def _cmd_count_bd(args) -> int:
-    spec = _box_from_doc(_load_json_file(args.spec), args.spec)
-    result = count_bd(spec, strategy=args.strategy, budget=_default_budget(args))
+    spec = _read_doc(args.spec, _box_from_doc)
+    result = count_bd(spec, strategy=args.strategy, budget=_budget(args))
     return _emit_count(result, args.format, delta=format_rational(spec.delta),
                        deviations=list(spec.deviations()))
 
@@ -365,12 +362,12 @@ def _cmd_count_ternary(args) -> int:
         limits=args.limits,
     )
     result = count_ternary(query, strategy=args.strategy,
-                           budget=_default_budget(args))
+                           budget=_budget(args))
     return _emit_count(result, args.format)
 
 
 def _cmd_bounds_eval(args) -> int:
-    cfg = _config_from_doc(_load_json_file(args.config), args.config)
+    cfg = ExponentConfiguration(**_read_doc(args.config, _config_fields))
     names = METHOD_NAMES + ((EXTENDED_METHOD,) if args.extended_fourier else ())
     if args.method == "all":
         reports = [EVALUATORS[name](cfg) for name in names]
@@ -380,54 +377,46 @@ def _cmd_bounds_eval(args) -> int:
     else:
         reports = [EVALUATORS[args.method](cfg)]
     payload = {"schema": SCHEMA, "config": _jsonify(cfg), "reports": _jsonify(reports)}
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [[r["method"], r["value"], json.dumps(r["witness"])]
-                for r in payload["reports"]]
-        _print_table(["method", "value", "witness"], rows)
+    rows = ([r["method"], r["value"], json.dumps(r["witness"])]
+            for r in payload["reports"])
+    _emit(args.format, payload, ["method", "value", "witness"], rows)
     return 0
 
 
 def _cmd_verify_region(args) -> int:
     # every draw and hill-climb move is one evaluation; refuse before the
     # search allocates anything
-    _check_budget(args, "maximize_nu", args.samples + hill_climbs(args.samples))
+    check_budget("maximize_nu", args.samples + hill_climbs(args.samples),
+                 _budget(args))
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     report = maximize_nu(
         args.d, args.delta, args.epsilon, budget=args.samples, seed=args.seed,
         threshold=args.threshold, methods=args.methods, streams=args.streams,
         grid=args.grid,
     )
     payload = {"schema": SCHEMA, **_jsonify(report)}
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [[k, json.dumps(v) if isinstance(v, (dict, list)) else v]
-                for k, v in payload.items() if k != "schema"]
-        _print_table(["field", "value"], rows)
+    rows = ([k, json.dumps(v) if isinstance(v, (dict, list)) else v]
+            for k, v in payload.items() if k != "schema")
+    _emit(args.format, payload, ["field", "value"], rows)
     return 0 if report.verdict else 1
 
 
 def _cmd_verify_cases(args) -> int:
     report = verify_case_catalog(args.delta, args.epsilon)
     payload = {"schema": SCHEMA, **_jsonify(report)}
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [
-            [c.name, "pass" if c.passed else "FAIL",
+    rows = ([c.name, "pass" if c.passed else "FAIL",
              format_rational(c.slack), "tight" if c.boundary else ""]
-            for c in report.checks
-        ]
-        _print_table(["check", "result", "slack", "note"], rows)
+            for c in report.checks)
+    _emit(args.format, payload, ["check", "result", "slack", "note"], rows)
     return 0 if report.all_passed else 1
 
 
 # --- parser wiring -------------------------------------------------------------
 
 
-def _add_format(p, *, csv_ok: bool = False, table_ok: bool = True) -> None:
-    choices = ["json"] + (["csv"] if csv_ok else []) + (["table"] if table_ok else [])
+def _add_format(p, *, csv_ok: bool = False) -> None:
+    choices = ["json", *(["csv"] if csv_ok else []), "table"]
     p.add_argument("--format", choices=choices, default="json",
                    help="output format (default json)")
 
@@ -632,29 +621,14 @@ def main(argv=None) -> int:
         if func is None:
             raise _CliError("usage", "a subcommand is required (see --help)")
         return func(args)
-    except _CliError as exc:
-        _print_json({
-            "schema": SCHEMA,
-            "error": {"kind": exc.kind, "message": exc.message, **exc.extra},
-        })
-        return 2
-    except BudgetExceeded as exc:
-        _print_json({
-            "schema": SCHEMA,
-            "error": {
-                "kind": "budget-exceeded",
-                "operation": exc.operation,
-                "estimate": exc.estimate,
-                "budget": exc.budget,
-                "message": str(exc),
-            },
-        })
-        return 2
-    except ValueError as exc:
-        _print_json({
-            "schema": SCHEMA,
-            "error": {"kind": "invalid-argument", "message": str(exc)},
-        })
+    except (_CliError, BudgetExceeded, ValueError) as exc:
+        if isinstance(exc, BudgetExceeded):
+            error = {"kind": "budget-exceeded", "operation": exc.operation,
+                     "estimate": exc.estimate, "budget": exc.budget}
+        else:  # a ValueError from the library is an invalid argument
+            error = {"kind": exc.kind if isinstance(exc, _CliError)
+                     else "invalid-argument"}
+        _print_json({"schema": SCHEMA, "error": {**error, "message": str(exc)}})
         return 2
 
 

@@ -10,9 +10,10 @@ other and against hand-computed values.
 All threshold comparisons (rad(abc) < c**lambda and friends) clear
 denominators and compare integer powers -- no floating point, ever.
 
-A per-call budget caps the number of candidate evaluations.  Calls whose
-work estimate exceeds the budget refuse up front with the estimate attached,
-so a script can adapt instead of hanging.  Radical tables are flat arrays of
+A per-call budget (DEFAULT_BUDGET unless given) caps the number of
+candidate evaluations.  Calls whose work estimate exceeds it refuse up front
+(check_budget) with the estimate attached, so a script can adapt instead of
+hanging.  Radical tables are flat arrays of
 machine words (radicals.build_radical_table; 'ab' of count_exceptional_triples
 keeps its own), so memory grows by a few words per n.  A count that reads
 each radical once, in order ('scan' of count_radical_bounded), holds no
@@ -118,9 +119,9 @@ def _rational_power(x: int, e: Fraction) -> Fraction:
     return Fraction(root)
 
 
-def box_for(cfg, X: int, coefficients: tuple[int, int, int] = (1, 1, 1)) -> BoxSpec:
+def box_for(cfg, X: int) -> BoxSpec:
     """Dyadic box with anchors X**a_i, X**b_i, X**c_i taken from an exponent
-    configuration (anything with d/a/b/c attributes).
+    configuration (anything with d/a/b/c attributes), coefficients (1, 1, 1).
 
     Every anchor must come out rational, so X has to be a perfect power
     compatible with the exponent denominators -- e.g. X = 4096 for twelfths.
@@ -131,7 +132,7 @@ def box_for(cfg, X: int, coefficients: tuple[int, int, int] = (1, 1, 1)) -> BoxS
     ]
     return BoxSpec(
         d=cfg.d,
-        coefficients=tuple(coefficients),  # type: ignore[arg-type]
+        coefficients=(1, 1, 1),
         X=anchors[0], Y=anchors[1], Z=anchors[2],
     )
 
@@ -154,10 +155,10 @@ class TernaryQuery:
             raise ValueError("limits must be three integers >= 1")
 
 
-def _check_budget(operation: str, estimate: int, budget: int | None) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if estimate > limit:
-        raise BudgetExceeded(operation, estimate, limit)
+def check_budget(operation: str, estimate: int, budget: int) -> None:
+    """Refuse with BudgetExceeded when the work estimate exceeds the budget."""
+    if estimate > budget:
+        raise BudgetExceeded(operation, estimate, budget)
 
 
 def _trial_radical(n: int) -> int:
@@ -181,7 +182,7 @@ def count_exceptional_triples(
     *,
     ordered: bool = True,
     strategy: str = "ca",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
     """#{(a, b, c): a + b = c <= X, gcd(a, b) = 1, rad(abc) < c**lam}.
 
@@ -219,7 +220,7 @@ def count_exceptional_triples(
     t0 = time.perf_counter()
     if strategy == "ca":
         est = X * (X - 1) // 2 if ordered else X * X // 4 + X
-        _check_budget("count_exceptional_triples", est, budget)
+        check_budget("count_exceptional_triples", est, budget)
         count = _exceptional_ca(X, p, q, ordered)
     else:
         count = _exceptional_ab(X, p, q, ordered, budget)
@@ -265,7 +266,7 @@ def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
     return count
 
 
-def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int | None) -> int:
+def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int) -> int:
     """Small-radical enumeration: for each c, the members n < c of the
     radical classes r with (r**2 * rad c)**q < c**p, each pair {n, c - n}
     tested from its member of smaller radical.  Two members of one class
@@ -275,11 +276,10 @@ def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int | None) -
     the radicals, the members ordered by radical (a counting sort), and
     the class offsets.  The budget is checked before the member index is
     built."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if X > limit:
+    if X > budget:
         # the sieve alone exceeds the budget: refuse before allocating it,
         # with the table-free bound on sieve entries plus members walked
-        raise BudgetExceeded("count_exceptional_triples", X * (X + 1) // 2, limit)
+        raise BudgetExceeded("count_exceptional_triples", X * (X + 1) // 2, budget)
     word = "I" if X < 2**32 else "Q"  # every entry is <= X + 1
     # distinct-prime sieve: m is prime when no smaller prime has touched it
     rad = array(word, [1]) * (X + 1)
@@ -297,7 +297,7 @@ def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int | None) -
         cum[r] += 1
     cum = array(word, accumulate(cum))
     est = X + sum(min(c - 1, cum[depth(c)]) for c in range(2, X + 1))
-    _check_budget("count_exceptional_triples", est, budget)
+    check_budget("count_exceptional_triples", est, budget)
     # counting sort, n descending into the back of its class: members
     # ascend within a class, and cum[r] ends as the offset of class r
     order = array(word, [0]) * X
@@ -331,7 +331,7 @@ def count_s(
     *,
     star: bool = False,
     strategy: str = "ca",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
     """Coprime solutions of a + b = c with per-member radical constraints.
 
@@ -356,7 +356,7 @@ def count_s(
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
-    _check_budget("count_s", est, budget)
+    check_budget("count_s", est, budget)
     t0 = time.perf_counter()
 
     def window(r: int, expo: Fraction) -> bool:
@@ -407,7 +407,7 @@ def count_radical_bounded(
     lam: Fraction,
     *,
     strategy: str = "scan",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
     """#{n <= x : rad(n) <= x**lam}, the radical-bounded integer count.
 
@@ -428,7 +428,7 @@ def count_radical_bounded(
     p, q = lam.numerator, lam.denominator
     t0 = time.perf_counter()
     if strategy == "scan":
-        _check_budget("count_radical_bounded", x, budget)
+        check_budget("count_radical_bounded", x, budget)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here
         xp = x**p
         t = iroot(xp, q)
@@ -438,7 +438,7 @@ def count_radical_bounded(
     else:
         # largest integer r with r^q <= x^p
         threshold = iroot(x**p, q)
-        _check_budget("count_radical_bounded", threshold + x, budget)
+        check_budget("count_radical_bounded", threshold + x, budget)
         count = 0
         for r in range(1, threshold + 1):
             fac = factorize(r)
@@ -492,7 +492,7 @@ def count_bd(
     spec: BoxSpec,
     *,
     strategy: str = "mitm",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
     """Count solutions of c1*prod(x_j^j) + c2*prod(y_j^j) = c3*prod(z_j^j)
     in the dyadic boxes of ``spec`` with gcd(c1*prod x_j, c2*prod y_j,
@@ -505,7 +505,7 @@ def count_bd(
         raise ValueError(f"unknown strategy {strategy!r}")
     nx, ny, nz = (_family_size(a) for a in (spec.X, spec.Y, spec.Z))
     est = nx * ny * nz if strategy == "nested" else nz + nx * ny
-    _check_budget("count_bd", est, budget)
+    check_budget("count_bd", est, budget)
     c1, c2, c3 = spec.coefficients
     anchors = ",".join(
         "[" + ";".join(format_rational(a) for a in fam) + "]"
@@ -548,7 +548,7 @@ def count_ternary(
     query: TernaryQuery,
     *,
     strategy: str = "solve-z",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
     """Count nonzero pairwise-coprime (x, y, z) in the signed boxes with
     a1*x^p + a2*y^q + a3*z^r = 0.
@@ -563,7 +563,7 @@ def count_ternary(
     a1, a2, a3 = query.coefficients
     X, Y, Z = query.limits
     est = 4 * X * Y * (2 * Z if strategy == "nested" else 1)
-    _check_budget("count_ternary", est, budget)
+    check_budget("count_ternary", est, budget)
 
     def signed(limit):
         for v in range(1, limit + 1):

@@ -45,10 +45,6 @@ def _trial_blocks():
 
 _BLOCKS = _trial_blocks()
 
-# entry n holds rad(n), one unsigned 64-bit word each; entry 0 is a 0
-# placeholder so indexing is direct
-RadicalTable = array
-
 # entries per radical_segments block: 256 KiB of machine words
 SEGMENT = 2**15
 
@@ -115,7 +111,7 @@ def radical_segments(limit: int):
     return blocks()
 
 
-def build_radical_table(limit: int) -> RadicalTable:
+def build_radical_table(limit: int) -> array:
     """Table rad_of[n] = rad(n) for 0 <= n <= limit (rad_of[0] = 0), as an
     array('Q'): 8 bytes per entry, allocated once and filled block by block
     from radical_segments.  A caller that reads the radicals once, in

@@ -535,6 +535,19 @@ def test_exit_2_malformed_config(capsys, tmp_path):
         assert message in doc["error"]["message"], message
 
 
+def test_exit_2_undecodable_file(capsys, tmp_path):
+    # bytes that are not UTF-8 are a bad file, named, whatever reads it
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"d": 1, "a": ["\u00bd"]}'.encode("latin-1"))
+    for argv in (("bounds", "eval", "--config", str(bad)),
+                 ("count", "bd", "--spec", str(bad))):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"]["kind"] == "bad-file", argv
+        assert doc["error"]["message"].startswith(f"{bad} is not valid JSON: "), argv
+        assert "utf-8" in doc["error"]["message"], argv
+
+
 @pytest.mark.parametrize("argv", [
     ("rad", "96", "--frobnicate"),
     ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
@@ -624,6 +637,20 @@ def test_exit_2_bad_streams_or_threads(capsys, argv):
     assert code == 2
     assert doc["error"]["kind"] == "invalid-argument"
     assert "must be >= 1" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_exit_2_samples_below_1_names_the_flag(capsys, monkeypatch, samples):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "maximize_nu", no_search)
+    code, doc = run_json(capsys, "verify", "region", "--d", "6",
+                         "--delta", "1/1000", "--epsilon", "1/1000",
+                         "--samples", samples)
+    assert code == 2
+    assert doc["error"] == {"kind": "invalid-argument",
+                            "message": "--samples must be >= 1"}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -752,6 +779,14 @@ _TERNARY = ("count", "ternary", "--exponents", "1,2,3",
             "--coefficients=-1,1,2", "--limits", "40,12,9")
 _DEBRUIJN = ("count", "debruijn", "--x", "5000", "--lambda", "2/3")
 _NLAMBDA = ("count", "nlambda", "--x", "4000", "--lambda", "1")
+_BD = ("count", "bd", "--spec", "{box}")
+
+_BOX_SPEC = {  # 7 + 2*4 = 3*5 is its one solution; an anchor below 1, 3 > Delta^A
+    "d": 2,
+    "c": [1, 2, 3],
+    "X": ["4", "1/2"], "Y": ["2", "1/2"], "Z": ["4", "1/2"],
+    "A": "1/4",
+}
 
 _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "bounds-ties-json": (
@@ -849,14 +884,71 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
     "factorize-241x1000000007": (
         ("factorize", str(241 * 1_000_000_007)),
         0, "2aa15a24390a72a7cc2645049b2140d2aaa9a18ff4655709f6c78f3257f57466"),
+    # count tables and CSV, count bd, rad, reduce-triple, one error per kind
+    "count-nlambda-table": (
+        _NLAMBDA + ("--format", "table"),
+        0, "873d8238277c5bf9832e0aba5298c52ff8030ff15789e095c0e087c97e23bbc3"),
+    "count-s-table": (
+        _COUNT_S + ("--format", "table"),
+        0, "06cb5c329cd2e1db32101afe6c4a3b459eb8a7b697c8c60bbbd27a96b383340a"),
+    "count-s-csv": (
+        _COUNT_S + ("--format", "csv"),
+        0, "97d388bbbc50778127f646a19c9e6dd7e0c3995e17705200733be0fb69b3041d"),
+    "count-debruijn-table": (
+        _DEBRUIJN + ("--format", "table"),
+        0, "9451adc13ad1121cc4715ebe1181099d50ba1c60cea4a63d805dcb1e0eaa9496"),
+    "count-debruijn-csv": (
+        _DEBRUIJN + ("--format", "csv"),
+        0, "39d46efaad4a1d6688a10fcc9639640c70b124e6610c20b28fae26cab09d5c41"),
+    "count-ternary-table": (
+        _TERNARY + ("--format", "table"),
+        0, "345605626501a3bf27fbacc5fa429044d0dfcd61dcacfd6b7e60bb90ec7cd2dc"),
+    "count-ternary-csv": (
+        _TERNARY + ("--format", "csv"),
+        0, "f909e632e003ea4e3902177dacb309e0336d7b7a621f1901110dddebc77e8081"),
+    "count-bd-json": (
+        _BD,
+        0, "e212dfdd1f482f9daa7bf1532ef2ebb6b7d079aa37ced682da6c6bb7aad4fc44"),
+    "count-bd-table": (
+        _BD + ("--format", "table"),
+        0, "74e5822bb8649818aed536709bfc0f329bc194b7ba9d15103e42bfb0c6cf0cf7"),
+    "count-bd-csv": (
+        _BD + ("--format", "csv"),
+        0, "31d79db3cdfbf9e7350aa32db9f2811924dbd9a1d852e3b131c9283169a9f72d"),
+    "rad": (
+        ("rad", "720720"),
+        0, "6ad9ef130ac0052aadb5e19b9676315e1cb008872ea0c18fe3295b5a69aa0bac"),
+    "reduce-triple": (
+        ("reduce-triple", "--a", "3", "--b", "125", "--c", "128",
+         "--x", "200", "--epsilon", "1/4"),
+        0, "9723ac313bec46e7199e97888b0389ff657ee20e704911463b97ba428f341a4a"),
+    "error-usage": (
+        ("rad", "96", "--frobnicate"),
+        2, "bf34f88ad1d16f53b6588461ec0296857b3fc38833f01d10f330f6de0813e4ab"),
+    "error-bad-file-missing": (
+        ("bounds", "eval", "--config", "missing.json"),
+        2, "34d922123faee829fc0b8d59348acfbe1005bbd6798b775ed6ec74eb6e54d92d"),
+    "error-bad-file-key": (
+        ("count", "bd", "--spec", "{nokey}"),
+        2, "201ec977c666d7279258d8694823cea4e89851711426b4965f774c23da3b12b0"),
+    "error-budget-exceeded": (
+        _NLAMBDA + ("--budget", "10"),
+        2, "93f9ca7aa7e9ecf41eddbfc2e6d44180e32550df27231a4780046b186d900e85"),
+    "error-invalid-argument": (
+        _COUNT_S[:4] + ("--alpha=-1/2",) + _COUNT_S[6:],
+        2, "d363db0257badb8ae2288dae3391e3946e598723e852334fbbd00fe2e7345e22"),
 }
 
 
-def test_golden_stdout(capsys, tmp_path):
+def test_golden_stdout(capsys, tmp_path, monkeypatch):
+    # relative paths, so a bad-file message names the same file every run
+    monkeypatch.chdir(tmp_path)
+    nokey = {k: v for k, v in _BOX_SPEC.items() if k != "c"}
     paths = {}
-    for name, doc in (("ties", _TIES_CONFIG), ("lattice", _LATTICE_CONFIG)):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
+    for name, doc in (("ties", _TIES_CONFIG), ("lattice", _LATTICE_CONFIG),
+                      ("box", _BOX_SPEC), ("nokey", nokey)):
+        paths[name] = f"{name}.json"
+        Path(paths[name]).write_text(json.dumps(doc))
     for name, (argv, want_code, want_sha) in _GOLDEN.items():
         argv = [a.format(**paths) for a in argv]
         code, out = run(capsys, *argv)

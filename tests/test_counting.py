@@ -1,3 +1,4 @@
+import inspect
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import gcd
 import pytest
 
 from abckit.counting import (
+    DEFAULT_BUDGET,
     BoxSpec,
     BudgetExceeded,
     CountResult,
@@ -399,6 +401,15 @@ def test_budget_estimates_are_pinned():
         run(est)
         with pytest.raises(BudgetExceeded):
             run(est - 1)
+
+
+def test_oracle_budgets_default_to_an_int():
+    # every oracle takes a plain int budget, DEFAULT_BUDGET unless given
+    for oracle in (count_exceptional_triples, count_s, count_radical_bounded,
+                   count_bd, count_ternary):
+        param = inspect.signature(oracle).parameters["budget"]
+        assert param.default == DEFAULT_BUDGET == 10**9, oracle.__name__
+        assert param.annotation == "int", oracle.__name__
 
 
 def test_budget_refusal():
