@@ -65,7 +65,6 @@ from .region import (
     ConstraintReport,
     RegionSearchReport,
     check_constraints,
-    corner_config,
     maximize_nu,
     sample_feasible,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "build_radical_table",
     "check_constraints",
     "cmp_pow",
-    "corner_config",
     "count_bd",
     "count_exceptional_triples",
     "count_radical_bounded",

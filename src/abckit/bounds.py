@@ -435,10 +435,11 @@ _CORES = {
 
 
 def fast_scale(cfg: ExponentConfiguration, grid: int) -> tuple:
-    """Entry numerators of cfg on the given grid, for fast_best.
+    """Entry numerators of cfg, and delta's, on the given grid: the
+    integers the cores and fast_best read.  ExponentConfiguration.grid
+    calls it with the lcm of cfg's denominators, which always fits.
 
-    Raises ValueError if any entry or delta is off-grid; callers fall back
-    to the canonical evaluators in that case.
+    Raises ValueError if any entry or delta is off-grid.
     """
     out = []
     for name in VECTOR_NAMES:

@@ -14,8 +14,9 @@ Conventions, uniform across subcommands, each implemented once:
     key order, deterministic seeds); a report is an object of its dataclass
     fields in order
   * exit 0 on success or verdict-pass, 1 on verdict-fail, 2 on usage
-    errors, bad input files, invalid arguments and budget refusals, which
-    main prints as one error object {"kind", ..., "message"}
+    errors, bad input files (read only up to MAX_FILE_BYTES), invalid
+    arguments and budget refusals, which main prints as one error object
+    {"kind", ..., "message"}
   * the budget is --budget, else ABCKIT_BUDGET, else 10**9 (_budget); it
     caps the count commands, `sieve` (table entries) and `verify region`
     (draws plus hill-climb moves), each checked by counting.check_budget
@@ -59,6 +60,8 @@ from .radicals import factorize, is_squarefree, radical, radical_segments
 from .region import hill_climbs, maximize_nu
 
 SCHEMA = "abckit/1"
+
+MAX_FILE_BYTES = 1 << 24  # the largest --config or --spec file read, 16 MiB
 
 
 class _CliError(Exception):
@@ -153,11 +156,18 @@ def _jsonify(value):
 
 
 def _load_json_file(path: str):
+    """The JSON value in the UTF-8 file at path, read only up to
+    MAX_FILE_BYTES + 1 bytes, so an endless or huge file is refused before
+    it is parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise _CliError("bad-file", f"cannot read {path}: {exc.strerror}")
+    if len(data) > MAX_FILE_BYTES:
+        raise _CliError("bad-file", f"{path} is larger than {MAX_FILE_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _CliError("bad-file", f"{path} is not valid JSON: {exc}")
 
@@ -392,8 +402,7 @@ def _cmd_verify_region(args) -> int:
         raise ValueError("--samples must be >= 1")
     report = maximize_nu(
         args.d, args.delta, args.epsilon, budget=args.samples, seed=args.seed,
-        threshold=args.threshold, methods=args.methods, streams=args.streams,
-        grid=args.grid,
+        methods=args.methods, streams=args.streams,
     )
     payload = {"schema": SCHEMA, **_jsonify(report)}
     rows = ([k, json.dumps(v) if isinstance(v, (dict, list)) else v]
@@ -526,7 +535,8 @@ def build_parser() -> _Parser:
         "bd", help="dyadic-box solutions of the reduced equation",
         description="Counts solutions of c1*prod(x_j^j) + c2*prod(y_j^j) = "
                     "c3*prod(z_j^j) in dyadic boxes read from a BoxSpec JSON "
-                    "file {d, coefficients, X, Y, Z[, A]}.",
+                    "file {d, c, X, Y, Z[, A]}, where c holds (c1, c2, c3) "
+                    "and may be given as coefficients instead.",
     )
     p.add_argument("--spec", required=True, help="path to the BoxSpec JSON file")
     p.add_argument("--strategy", choices=["mitm", "nested"], default="mitm")
@@ -575,7 +585,7 @@ def build_parser() -> _Parser:
         "region", help="falsification search over the feasible region",
         description="Samples the constraint region and hill-climbs, looking "
                     "for a configuration whose best bound exceeds the "
-                    "threshold (default 33/50). Exit 0 when none is found.",
+                    "paper's 33/50. Exit 0 when none is found.",
     )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=_rational, required=True)
@@ -583,12 +593,9 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=100_000,
                    help="sampling budget (hill-climbing adds ~15%% on top)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=_rational, default=Fraction(33, 50))
     p.add_argument("--methods", type=_methods_list, default=None,
                    help="comma-separated bound subset (default: all five)")
     p.add_argument("--streams", type=int, default=8)
-    p.add_argument("--grid", type=int, default=None,
-                   help="lattice denominator override")
     _add_budget(p)
     _add_format(p)
     p.set_defaults(func=_cmd_verify_region)

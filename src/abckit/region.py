@@ -195,7 +195,9 @@ class _Windows:
         )
 
 
-def _windows_for(d: int, delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
+def _windows_for(delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
+    """The rows rounded onto the lattice of multiples of 1/grid; by default
+    the lattice of the smallest multiple of BASE_GRID that every rhs lies on."""
     dl, ep = F(delta), F(epsilon)
     rhs = [row.rhs(dl, ep) for row in ROWS]
     scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
@@ -356,9 +358,8 @@ def _split_three(total: int) -> tuple[int, int, int]:
 
 def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
     """Feasible integer vectors with class sums s_1, s_2 hit exactly, mass
-    for the remaining totals placed on indices 3..d; None when blocked."""
-    if d < 3:
-        return None
+    for the remaining totals placed on indices 3..d (d >= 3); None when
+    blocked."""
     firsts = _split_three(s1u)
     seconds = _split_three(s2u)
     for _ in range(32):
@@ -420,7 +421,7 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
             out.append(trip)
     # a_3 pinned at 0.32: the S1/S2 hinge
     a3 = A3_HINGE * scale
-    if a3.denominator == 1 and d >= 3:
+    if a3.denominator == 1:
         a3u = a3.numerator
         for _ in range(8):
             ta = _randint(bits, max(win.tot_lo, a3u), win.tot_hi)
@@ -453,33 +454,6 @@ def _to_config(vecs, scale: int, delta: Fraction, epsilon: Fraction, d: int):
     )
 
 
-def corner_config(
-    d: int,
-    delta: Fraction,
-    epsilon: Fraction,
-    s1: Fraction,
-    s2: Fraction,
-    seed: int = 0,
-):
-    """A feasible configuration with class sums (s_1, s_2) hit exactly, or
-    None when the targets cannot be realized on the lattice at this d."""
-    if d < 3:
-        raise ValueError("corner targets need d >= 3")
-    dl, ep, s1, s2 = F(delta), F(epsilon), F(s1), F(s2)
-    win = _windows_for(d, dl, ep, None)
-    scale = lcm(win.scale, s1.denominator, s2.denominator)
-    if scale != win.scale:
-        win = _windows_for(d, dl, ep, scale)
-    bits = Random(seed).getrandbits
-    trip = _config_with_s1s2(win, d, int(s1 * scale), int(s2 * scale), bits)
-    if trip is None:
-        return None
-    cfg = _to_config(trip, scale, dl, ep, d)
-    if not check_constraints(cfg).feasible:
-        raise RuntimeError("corner configuration violates C1-C4")
-    return cfg
-
-
 def _provably_empty(d: int, delta: Fraction, epsilon: Fraction) -> bool:
     """The weighted-capacity argument: W_c <= d * T_c <= d * (C4-c-upper's
     bound), which cannot reach C1-weighted-c-lower's bound at small d."""
@@ -509,7 +483,7 @@ def sample_feasible(
     if grid is not None and grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     dl, ep = F(delta), F(epsilon)
-    win = _windows_for(d, dl, ep, grid)
+    win = _windows_for(dl, ep, grid)
     bits = Random(seed * 1_000_003 + 1).getrandbits
     out: list[ExponentConfiguration] = []
     for trip in _corner_triples(win, d, dl, bits):
@@ -576,9 +550,7 @@ def hill_climbs(budget: int) -> int:
 
 
 def _hill_steps(scale: int) -> tuple[int, ...]:
-    return tuple(
-        s for s in (scale // 100, scale // 1000, scale // 10000) if s > 0
-    ) or (1,)
+    return scale // 100, scale // 1000, scale // 10000
 
 
 def _beats(cand, best) -> bool:
@@ -785,22 +757,24 @@ def maximize_nu(
     *,
     budget: int = 100_000,
     seed: int = 0,
-    threshold: Fraction = DEFAULT_THRESHOLD,
     methods: Sequence[str] | None = None,
     streams: int = 8,
-    grid: int | None = None,
 ) -> RegionSearchReport:
-    """Search the feasible region for the largest best_bound value.
+    """Search the feasible region for the largest best_bound value, and
+    judge it against the paper's 33/50 (DEFAULT_THRESHOLD); the report
+    holds both, so a caller can compare the maximum with any other value.
 
-    `budget` counts sampling draws; hill-climbing adds ~15% more
-    evaluations on top, from each stream's best sample, with steps
-    1/100, 1/1000, 1/10000 projected back to feasibility.  The streams
+    The search runs on the default lattice of _windows_for, which always
+    holds delta: its denominator survives in 8/25 - delta, the rhs of
+    C4-*-lower, and 25 divides BASE_GRID.  `budget` counts sampling
+    draws; hill-climbing adds ~15% more evaluations on top, from each
+    stream's best sample, with steps 1/100, 1/1000, 1/10000 projected
+    back to feasibility.  The streams
     that draw are spread over the usable cores (forked workers, see
     _run_streams) and merged in stream order, so the result is
     deterministic in (parameters, seed, streams) whatever the core count.
     """
     dl, ep = F(delta), F(epsilon)
-    threshold = F(threshold)
     if d < 1:
         raise ValueError("d must be >= 1")
     if dl < 0 or ep < 0:
@@ -809,11 +783,9 @@ def maximize_nu(
         raise ValueError("budget must be >= 1")
     if streams < 1:
         raise ValueError("streams must be >= 1")
-    if grid is not None and grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
     method_names = resolve_methods(methods)
     base_kwargs = dict(
-        d=d, delta=dl, epsilon=ep, threshold=threshold,
+        d=d, delta=dl, epsilon=ep, threshold=DEFAULT_THRESHOLD,
         budget=budget, seed=seed, streams=streams, methods=method_names,
     )
 
@@ -834,9 +806,7 @@ def maximize_nu(
             )
         return empty(f"region empty at d={d}: the weighted c-sum cannot "
                      "reach 1 - eps^2; nothing to search")
-    win = _windows_for(d, dl, ep, grid)
-    if (dl * win.scale).denominator != 1:
-        raise ValueError("grid does not contain delta; pick a finer lattice")
+    win = _windows_for(dl, ep, None)
     if win.tot_lo > win.tot_hi:
         lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
         return empty(f"region empty at d={d}: the C4 totals window "
@@ -878,6 +848,6 @@ def maximize_nu(
         **base_kwargs, strategy_mix=mix, samples=samples, feasible=feasible,
         maximum=maximum, argmax=argmax,
         method_wins=dict(sorted(wins.items())),
-        verdict=maximum <= threshold, outcome="ok",
+        verdict=maximum <= DEFAULT_THRESHOLD, outcome="ok",
     )
 

@@ -158,7 +158,7 @@ def test_criterion_5_region_falsification_run():
     t0 = time.monotonic()
     report = maximize_nu(
         6, F(1, 1000), F(1, 1000),
-        budget=100_000, seed=0, threshold=F(33, 50),
+        budget=100_000, seed=0,
     )
     elapsed = time.monotonic() - t0
     failures = []
@@ -192,7 +192,7 @@ def test_criterion_6_trivial_bound_consistency():
     eps = F(1, 1000)
     report = maximize_nu(
         6, F(1, 1000), eps,
-        budget=20_000, seed=1, threshold=F(33, 50), methods=("trivial",),
+        budget=20_000, seed=1, methods=("trivial",),
     )
     failures = []
     floor = F(33, 50) - eps * eps

@@ -328,6 +328,21 @@ def test_bounds_eval_runs_each_method_once(capsys, tmp_path, monkeypatch):
     assert [r["method"] for r in doc["reports"]] == [*names, "best"]
 
 
+@pytest.mark.parametrize("extra", [(), ("--extended-fourier",)])
+def test_bounds_eval_best_is_the_best_row_of_all(capsys, tmp_path, extra):
+    cfg_file = tmp_path / "cfg.json"
+    for config in (_TIES_CONFIG, _LATTICE_CONFIG):
+        cfg_file.write_text(json.dumps(config))
+        argv = ("bounds", "eval", "--config", str(cfg_file), *extra)
+        code, every = run_json(capsys, *argv)
+        assert code == 0
+        code, best = run_json(capsys, *argv, "--method", "best")
+        assert code == 0
+        assert best["config"] == every["config"]
+        assert best["reports"] == every["reports"][-1:]
+        assert every["reports"][-1]["method"] == "best"
+
+
 def test_bounds_eval_single_method(capsys, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(
@@ -494,6 +509,13 @@ def test_budget_env_var(capsys, monkeypatch):
                          "--lambda", "9/10", "--budget", "1000000")
     assert code == 0
     assert doc["count"] == 2
+    # a value that is not an integer is a usage error naming the variable
+    monkeypatch.setenv("ABCKIT_BUDGET", "lots")
+    code, doc = run_json(capsys, "count", "nlambda", "--x", "9",
+                         "--lambda", "9/10")
+    assert code == 2
+    assert doc["error"]["kind"] == "usage"
+    assert "ABCKIT_BUDGET" in doc["error"]["message"]
 
 
 def test_exit_2_missing_file(capsys):
@@ -527,6 +549,8 @@ def test_exit_2_malformed_config(capsys, tmp_path):
         ("count bd --spec", {**box, "c": [True, 1, 1]}, "'c' entry must be a JSON int"),
         ("count bd --spec", {k: v for k, v in box.items() if k != "c"},
          "missing key 'c'"),
+        ("bounds eval --config", [config], "expected a JSON object"),
+        ("count bd --spec", [box], "expected a JSON object"),
     ]:
         bad.write_text(json.dumps(doc_in))
         code, doc = run_json(capsys, *command.split(), str(bad))
@@ -548,12 +572,49 @@ def test_exit_2_undecodable_file(capsys, tmp_path):
         assert "utf-8" in doc["error"]["message"], argv
 
 
+def _refused_as_bad_file(capsys, path, message):
+    for argv in (("bounds", "eval", "--config", str(path)),
+                 ("count", "bd", "--spec", str(path))):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"]["kind"] == "bad-file", argv
+        assert message in doc["error"]["message"], argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_exit_2_endless_file(capsys):
+    # read up to the cap and refused, not read until memory runs out
+    _refused_as_bad_file(capsys, "/dev/zero",
+                         f"is larger than {cli.MAX_FILE_BYTES} bytes")
+
+
+def test_exit_2_file_over_the_size_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", 64)
+    path = tmp_path / "cfg.json"
+    config = json.dumps({"d": 1, "a": ["0"], "b": ["0"], "c": ["0"]})
+    path.write_text(config.ljust(64))
+    code, doc = run_json(capsys, "bounds", "eval", "--config", str(path))
+    assert code == 0, doc
+    path.write_text(config.ljust(65))
+    _refused_as_bad_file(capsys, path, "is larger than 64 bytes")
+
+
 @pytest.mark.parametrize("argv", [
     ("rad", "96", "--frobnicate"),
     ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
      "1/1000", "--threads", "2"),
     ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
      "1/1000", "--lambda", "1"),
+    # the search runs on its own lattice and judges against 33/50 only
+    ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
+     "1/1000", "--grid", "12"),
+    ("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
+     "1/1000", "--threshold", "1/2"),
+    # P,Q,R must be three integers
+    ("count", "ternary", "--exponents", "1,2", "--coefficients", "1,1,-1",
+     "--limits", "5,5,5"),
+    ("count", "ternary", "--exponents", "1,x", "--coefficients", "1,1,-1",
+     "--limits", "5,5,5"),
 ])
 def test_exit_2_unknown_flag(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -628,8 +689,6 @@ def test_cover_search_takes_any_number_of_items(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("verify", "region", "--streams", "0"),
     ("verify", "region", "--streams", "-2"),
-    ("verify", "region", "--grid", "0"),
-    ("verify", "region", "--grid", "-12"),
 ])
 def test_exit_2_bad_streams_or_threads(capsys, argv):
     code, doc = run_json(capsys, *argv, "--d", "6", "--delta", "1/1000",
@@ -658,10 +717,7 @@ def test_exit_2_samples_below_1_names_the_flag(capsys, monkeypatch, samples):
     (("--d=-4", "--delta", "1/1000"), "d must be >= 1"),
     (("--d", "2", "--delta=-1/1000"), "must be non-negative"),
     (("--d", "6", "--delta=-1/1000"), "must be non-negative"),
-    (("--d", "2", "--delta", "1/1000", "--grid", "0"), "grid must be >= 1"),
-    (("--d", "6", "--delta", "1/1000", "--grid", "0"), "grid must be >= 1"),
-], ids=["d-zero", "d-negative", "d2-delta-negative", "d6-delta-negative",
-        "d2-grid-zero", "d6-grid-zero"])
+], ids=["d-zero", "d-negative", "d2-delta-negative", "d6-delta-negative"])
 def test_exit_2_bad_region_arguments(capsys, flags, message):
     # refused up front: before the empty-region shortcut, and before a search
     code, doc = run_json(capsys, "verify", "region", *flags,
@@ -817,6 +873,11 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         ("verify", "region", "--d", "6", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "2000", "--format", "table"),
         0, "4f05c197278d989f82d7edf903ed4cc4f4b6c67bd89d68199ecf668de8c9ad3c"),
+    # d = 3 at epsilon 1/25: a window left to search, but no draw lands in it
+    "region-thin-json": (
+        ("verify", "region", "--d", "3", "--delta", "0",
+         "--epsilon", "1/25", "--samples", "50"),
+        0, "c9bfe8bdb222c61863072e86cad56ea187999a4c78984afa88af89734d8f8eed"),
     "region-empty-json": (
         ("verify", "region", "--d", "2", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "10"),

@@ -13,16 +13,17 @@ import pytest
 
 import abckit.region as region
 from abckit.bounds import ExponentConfiguration, best_bound
+from abckit.cases import TRIANGLE_VERTICES
 from abckit.region import (
     ROWS,
     RegionSearchReport,
+    _config_with_s1s2,
     _hill_steps,
     _randint,
     _to_config,
     _vectors_feasible,
     _windows_for,
     check_constraints,
-    corner_config,
     maximize_nu,
     sample_feasible,
 )
@@ -208,6 +209,13 @@ def test_sampler_argument_errors():
             sample_feasible(6, F(0), F(0), 5, seed=0, grid=grid)
 
 
+def test_sampler_thin_region_returns_what_it_found():
+    # on the 1/25 lattice at d = 3 no draw is feasible: an empty list and
+    # a warning, not an error
+    with pytest.warns(UserWarning, match="sampler returned 0/3"):
+        assert sample_feasible(3, F(0), F(0), 3, seed=0, grid=25) == []
+
+
 def _hill_moves(vecs, steps):
     """Every single-step move the hill climb can make from vecs, feasible
     or not: mass between two classes of one vector, or between two vectors
@@ -236,7 +244,7 @@ def _hill_moves(vecs, steps):
 def test_fraction_and_lattice_feasibility_agree(d):
     # check_constraints (Fractions) and _vectors_feasible (lattice integers)
     # must agree on sampled points and on every hill-climb move from them
-    win = _windows_for(d, MILLI, MILLI, None)
+    win = _windows_for(MILLI, MILLI, None)
     seen = set()
     for cfg in sample_feasible(d, MILLI, MILLI, 3, seed=d):
         vecs = tuple(
@@ -251,14 +259,18 @@ def test_fraction_and_lattice_feasibility_agree(d):
 
 
 def test_corner_config_hits_class_sums():
-    cfg = corner_config(6, MILLI, MILLI, F(49, 800), F(31, 200))
-    assert cfg is not None
-    assert cfg.class_sums[0] == F(49, 800)
-    assert cfg.class_sums[1] == F(31, 200)
-    assert check_constraints(cfg).feasible
-    for s1, s2 in ((F(157, 2000), F(33, 250)), (F(17, 240), F(7, 60))):
-        got = corner_config(6, MILLI, MILLI, s1, s2)
-        assert got is not None and got.class_sums[:2] == (s1, s2)
+    # the corner generator behind the triangle-T starts, on the default
+    # lattice the search runs on, reaches each vertex exactly
+    win = _windows_for(MILLI, MILLI, None)
+    for s1, s2 in TRIANGLE_VERTICES:
+        s1u, s2u = s1 * win.scale, s2 * win.scale
+        assert s1u.denominator == s2u.denominator == 1
+        trip = _config_with_s1s2(win, 6, s1u.numerator, s2u.numerator,
+                                 Random(0).getrandbits)
+        assert trip is not None
+        cfg = _to_config(trip, win.scale, MILLI, MILLI, 6)
+        assert cfg.class_sums[:2] == (s1, s2)
+        assert check_constraints(cfg).feasible
 
 
 def test_search_basic_run():
@@ -318,8 +330,6 @@ def test_search_argument_errors():
         maximize_nu(6, MILLI, MILLI, budget=0)
     with pytest.raises(ValueError):
         maximize_nu(6, MILLI, MILLI, budget=10, methods=("nope",))
-    with pytest.raises(ValueError):
-        maximize_nu(6, MILLI, MILLI, budget=10, grid=12)  # delta off-lattice
     for streams in (0, -2):
         with pytest.raises(ValueError, match="must be >= 1"):
             maximize_nu(6, MILLI, MILLI, budget=10, streams=streams)
