@@ -65,7 +65,7 @@ VECTOR_NAMES = ("a", "b", "c")
 METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
-EXHAUSTIVE_LIMIT = 12  # most classes geometry_bound(mode="exhaustive") takes
+EXHAUSTIVE_LIMIT = 8  # most classes geometry_bound(mode="exhaustive") takes
 
 
 class SubsetSearchRefusal(ValueError):
@@ -131,15 +131,6 @@ class ExponentConfiguration:
 
     def total(self, name: str) -> Fraction:
         return sum(self.vector(name), Fraction(0))
-
-    @property
-    def totals(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self.total("a"), self.total("b"), self.total("c")
-
-    @property
-    def class_sums(self) -> tuple[Fraction, ...]:
-        """s_i = a_i + b_i + c_i."""
-        return tuple(x + y + z for x, y, z in zip(self.a, self.b, self.c))
 
 
 @dataclass(frozen=True)
@@ -502,7 +493,8 @@ def geometry_bound(
 
     W weights each selected entry by its class index; S is the plain sum.
     Both modes return the certified optimum; 'exhaustive' enumerates all
-    2**(3d) subset triples and refuses when d exceeds EXHAUSTIVE_LIMIT, and
+    2**(3d) subset triples, about a second at d = 8 and eight times longer
+    per further class, so it refuses when d exceeds EXHAUSTIVE_LIMIT (8);
     branch-and-bound takes any d.
     """
     if mode not in ("branch-and-bound", "exhaustive"):

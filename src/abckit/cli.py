@@ -7,7 +7,8 @@ One subcommand per operation family: `rad`, `sieve`, `factorize`,
 Conventions, uniform across subcommands, each implemented once:
   * exactly one JSON document on stdout (CSV/table on request, all three
     written by _emit; `sieve` streams its rows instead); anything
-    diagnostic goes to stderr
+    diagnostic goes to stderr, such as the wall time of a count, which
+    _emit_count measures around the oracle call (results carry no time)
   * rationals cross the boundary as "p/q" strings in both directions --
     decimals are rejected so exactness survives the round trip
   * identical argv produces byte-identical output (no timestamps, fixed
@@ -30,6 +31,7 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -221,21 +223,25 @@ def _config_fields(doc, where: str) -> dict:
     return out
 
 
-def _emit_count(result, fmt: str, **extra) -> int:
-    """Print a CountResult on stdout; its wall time goes to stderr only, so
-    stdout stays byte-identical across runs."""
+def _emit_count(args, oracle, *params, extra=dict, **options) -> int:
+    """Run oracle(*params, **options) at the strategy and budget of args and
+    print its CountResult, plus the fields extra() returns, on stdout; the
+    wall time of the call goes to stderr only, so stdout stays
+    byte-identical across runs."""
+    t0 = time.perf_counter()
+    result = oracle(*params, **options, strategy=args.strategy, budget=_budget(args))
     sys.stderr.write(
         f"{result.query} [{result.strategy}]: "
-        f"elapsed {result.elapsed_seconds:.6f} s\n"
+        f"elapsed {time.perf_counter() - t0:.6f} s\n"
     )
     payload = {
         "schema": SCHEMA,
         "query": result.query,
         "count": result.count,
         "strategy": result.strategy,
-        **extra,
+        **extra(),
     }
-    _emit(fmt, payload, ["query", "count", "strategy"],
+    _emit(args.format, payload, ["query", "count", "strategy"],
           [[result.query, result.count, result.strategy]])
     return 0
 
@@ -317,26 +323,17 @@ def _cmd_reduce_triple(args) -> int:
 
 
 def _cmd_count_nlambda(args) -> int:
-    result = count_exceptional_triples(
-        args.x, args.lam, ordered=not args.unordered,
-        strategy=args.strategy, budget=_budget(args),
-    )
-    return _emit_count(result, args.format)
+    return _emit_count(args, count_exceptional_triples, args.x, args.lam,
+                       ordered=not args.unordered)
 
 
 def _cmd_count_s(args) -> int:
-    result = count_s(
-        args.x, args.alpha, args.beta, args.gamma, star=args.star,
-        strategy=args.strategy, budget=_budget(args),
-    )
-    return _emit_count(result, args.format)
+    return _emit_count(args, count_s, args.x, args.alpha, args.beta, args.gamma,
+                       star=args.star)
 
 
 def _cmd_count_debruijn(args) -> int:
-    result = count_radical_bounded(
-        args.x, args.lam, strategy=args.strategy, budget=_budget(args)
-    )
-    return _emit_count(result, args.format)
+    return _emit_count(args, count_radical_bounded, args.x, args.lam)
 
 
 def _box_from_doc(doc, where: str) -> BoxSpec:
@@ -360,9 +357,10 @@ def _box_from_doc(doc, where: str) -> BoxSpec:
 
 def _cmd_count_bd(args) -> int:
     spec = _read_doc(args.spec, _box_from_doc)
-    result = count_bd(spec, strategy=args.strategy, budget=_budget(args))
-    return _emit_count(result, args.format, delta=format_rational(spec.delta),
-                       deviations=list(spec.deviations()))
+    return _emit_count(args, count_bd, spec, extra=lambda: {
+        "delta": format_rational(spec.delta),
+        "deviations": list(spec.deviations()),
+    })
 
 
 def _cmd_count_ternary(args) -> int:
@@ -371,9 +369,7 @@ def _cmd_count_ternary(args) -> int:
         coefficients=args.coefficients,
         limits=args.limits,
     )
-    result = count_ternary(query, strategy=args.strategy,
-                           budget=_budget(args))
-    return _emit_count(result, args.format)
+    return _emit_count(args, count_ternary, query)
 
 
 def _cmd_bounds_eval(args) -> int:

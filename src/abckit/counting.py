@@ -13,16 +13,18 @@ denominators and compare integer powers -- no floating point, ever.
 A per-call budget (DEFAULT_BUDGET unless given) caps the number of
 candidate evaluations.  Calls whose work estimate exceeds it refuse up front
 (check_budget) with the estimate attached, so a script can adapt instead of
-hanging.  Radical tables are flat arrays of
-machine words (radicals.build_radical_table; 'ab' of count_exceptional_triples
-keeps its own), so memory grows by a few words per n.  A count that reads
+hanging.  A CountResult holds no wall time, so identical calls return
+equal results; the CLI times each call and writes the time to stderr.
+
+Radical tables are flat arrays of machine words
+(radicals.build_radical_table; 'ab' of count_exceptional_triples keeps its
+own), so memory grows by a few words per n.  A count that reads
 each radical once, in order ('scan' of count_radical_bounded), holds no
 table: it walks radicals.radical_segments one block at a time.
 """
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,12 +45,12 @@ DEFAULT_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class CountResult:
-    """One finished count: what was asked, the answer, and how it was run."""
+    """One finished count: what was asked, the answer, and the strategy.
+    It holds no wall time, so identical calls give equal results."""
 
     query: str
     count: int
     strategy: str
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -217,19 +219,17 @@ def count_exceptional_triples(
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
     p, q = lam.numerator, lam.denominator
-    t0 = time.perf_counter()
     if strategy == "ca":
-        est = X * (X - 1) // 2 if ordered else X * X // 4 + X
-        check_budget("count_exceptional_triples", est, budget)
+        # the half-row scan visits about X**2/4 pairs in either order
+        check_budget("count_exceptional_triples", X * X // 4 + X, budget)
         count = _exceptional_ca(X, p, q, ordered)
     else:
         count = _exceptional_ab(X, p, q, ordered, budget)
-    elapsed = time.perf_counter() - t0
     query = (
         f"count_exceptional_triples(X={X}, lam={format_rational(lam)}, "
         f"ordered={ordered})"
     )
-    return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
+    return CountResult(query=query, count=count, strategy=strategy)
 
 
 def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
@@ -357,7 +357,6 @@ def count_s(
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
     check_budget("count_s", est, budget)
-    t0 = time.perf_counter()
 
     def window(r: int, expo: Fraction) -> bool:
         # r in (X^expo, 2*X^expo] via r^q vs X^p and vs 2^q * X^p
@@ -392,12 +391,11 @@ def count_s(
             b0 = max(1, c_lo - a)
             hits = compress(range(b0, X - a + 1), map(and_, ok_b[b0:X - a + 1], ok_c[a + b0:]))
             count += list(map(gcd, hits, repeat(a))).count(1)
-    elapsed = time.perf_counter() - t0
     query = (
         f"count_s(X={X}, alpha={format_rational(alpha)}, "
         f"beta={format_rational(beta)}, gamma={format_rational(gamma)}, star={star})"
     )
-    return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
+    return CountResult(query=query, count=count, strategy=strategy)
 
 
 # --- radical-bounded integers ------------------------------------------------
@@ -426,7 +424,6 @@ def count_radical_bounded(
     if strategy not in ("scan", "radical-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
     p, q = lam.numerator, lam.denominator
-    t0 = time.perf_counter()
     if strategy == "scan":
         check_budget("count_radical_bounded", x, budget)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here
@@ -458,9 +455,8 @@ def count_radical_bounded(
                 return total
 
             count += spread(0, 1)
-    elapsed = time.perf_counter() - t0
     query = f"count_radical_bounded(x={x}, lam={format_rational(lam)})"
-    return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
+    return CountResult(query=query, count=count, strategy=strategy)
 
 
 # --- dyadic box counts for the monomial equation ------------------------------
@@ -512,11 +508,9 @@ def count_bd(
         for fam in (spec.X, spec.Y, spec.Z)
     )
     query = f"count_bd(d={spec.d}, c={spec.coefficients}, anchors={anchors})"
-    t0 = time.perf_counter()
     count = 0
     if min(nx, ny, nz) == 0:
-        return CountResult(query=query, count=0, strategy=strategy,
-                           elapsed_seconds=time.perf_counter() - t0)
+        return CountResult(query=query, count=0, strategy=strategy)
     if strategy == "nested":
         fx, fy, fz = _family(spec.X), _family(spec.Y), _family(spec.Z)
         for px, sx in fx:
@@ -538,8 +532,7 @@ def count_bd(
                 if hits:
                     g2 = gcd(g1, c2 * sy)
                     count += sum(1 for h in hits if gcd(g2, h) == 1)
-    elapsed = time.perf_counter() - t0
-    return CountResult(query=query, count=count, strategy=strategy, elapsed_seconds=elapsed)
+    return CountResult(query=query, count=count, strategy=strategy)
 
 
 # --- signed ternary equations --------------------------------------------------
@@ -570,7 +563,6 @@ def count_ternary(
             yield v
             yield -v
 
-    t0 = time.perf_counter()
     count = 0
     if strategy == "nested":
         zs = list(signed(Z))
@@ -611,9 +603,8 @@ def count_ternary(
                 for z in roots:
                     if abs(z) <= Z and gcd(x, z) == 1 and gcd(y, z) == 1:
                         count += 1
-    elapsed = time.perf_counter() - t0
     qstr = (
         f"count_ternary(p={p}, q={q}, r={r}, a={query.coefficients}, "
         f"limits={query.limits})"
     )
-    return CountResult(query=qstr, count=count, strategy=strategy, elapsed_seconds=elapsed)
+    return CountResult(query=qstr, count=count, strategy=strategy)

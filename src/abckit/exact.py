@@ -8,6 +8,7 @@ powers, never by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -91,7 +92,4 @@ def dyadic_range(anchor: Fraction) -> tuple[int, int]:
     """
     if anchor < 0:
         raise ValueError("dyadic anchors must be non-negative")
-    lo = anchor.numerator // anchor.denominator + 1
-    two = 2 * anchor
-    hi = two.numerator // two.denominator
-    return lo, hi
+    return floor(anchor) + 1, floor(2 * anchor)

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import ceil, floor, lcm
 from random import Random
 from typing import Callable, Sequence
 
@@ -55,14 +55,6 @@ DEFAULT_THRESHOLD = F(33, 50)
 # is a row of the table: s_1 + s_2 <= 0.34 + delta, and a_3 = 0.32.
 S12_CAP = F(17, 50)
 A3_HINGE = F(8, 25)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # --- the constraint table ----------------------------------------------------
@@ -204,7 +196,7 @@ def _windows_for(delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windo
     # each bound rounded inward (no row is strict): an integer lhs meets
     # the rounded bound iff it meets the rhs
     bound = {
-        row.name: _ceil(x * scale) if row.sense == ">=" else _floor(x * scale)
+        row.name: ceil(x * scale) if row.sense == ">=" else floor(x * scale)
         for row, x in zip(ROWS, rhs)
     }
     return _Windows(
@@ -229,20 +221,20 @@ def _vectors_feasible(win: _Windows, vecs) -> bool:
     return True
 
 
-def _skeleton(total: int, target_w: int, lo_idx: int, hi_idx: int, d: int) -> list[int]:
-    """Composition of `total` on indices [lo_idx, hi_idx] (1-based) with
+def _skeleton(total: int, target_w: int, lo_idx: int, d: int) -> list[int]:
+    """Composition of `total` on indices [lo_idx, d] (1-based) with
     weighted sum exactly target_w.  Requires lo_idx*total <= target_w <=
-    hi_idx*total."""
+    d*total."""
     x = [0] * d
     extra = target_w - lo_idx * total
-    span = hi_idx - lo_idx
+    span = d - lo_idx
     if span == 0:
         if extra != 0:
             raise RuntimeError("weighted target out of reach at a single index")
         x[lo_idx - 1] = total
         return x
     q, rem = divmod(extra, span)
-    x[hi_idx - 1] += q
+    x[d - 1] += q
     base = total - q
     if rem:
         x[lo_idx + rem - 1] += 1
@@ -298,7 +290,7 @@ def _vector_with(total: int, w_lo: int, w_hi: int, d: int, bits):
         s_lo = max(lo - w_shape, t_skel)
         s_hi = min(hi - w_shape, d * t_skel)
         if s_lo <= s_hi:
-            skel = _skeleton(t_skel, _randint(bits, s_lo, s_hi), 1, d, d)
+            skel = _skeleton(t_skel, _randint(bits, s_lo, s_hi), 1, d)
             cuts.sort()
             cuts.append(t_shape)
             prev = 0
@@ -306,7 +298,7 @@ def _vector_with(total: int, w_lo: int, w_hi: int, d: int, bits):
                 skel[i] += c - prev
                 prev = c
             return skel
-    return _skeleton(total, _randint(bits, lo, hi), 1, d, d)
+    return _skeleton(total, _randint(bits, lo, hi), 1, d)
 
 
 def _draw(win: _Windows, d: int, bits):
@@ -362,19 +354,21 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
     blocked."""
     firsts = _split_three(s1u)
     seconds = _split_three(s2u)
+    # each vector's remaining total lies in [rest_lo, rest_hi], the same
+    # window for every attempt
+    rest_lo = [max(0, win.tot_lo - f - s) for f, s in zip(firsts, seconds)]
+    rest_hi = []
+    for vi, (f, s) in enumerate(zip(firsts, seconds)):
+        base_w = f + 2 * s
+        cap = (win.w_hi - base_w) // 3  # keep the weighted sum reachable
+        hi = min(win.tot_hi - f - s, cap)
+        if vi == 2:
+            lo_needed = -(-max(0, win.wc_lo - base_w) // d)
+            rest_lo[vi] = max(rest_lo[vi], lo_needed)
+        if hi < rest_lo[vi]:
+            return None
+        rest_hi.append(hi)
     for _ in range(32):
-        rest_lo = [max(0, win.tot_lo - f - s) for f, s in zip(firsts, seconds)]
-        rest_hi = []
-        for vi, (f, s) in enumerate(zip(firsts, seconds)):
-            base_w = f + 2 * s
-            cap = (win.w_hi - base_w) // 3  # keep the weighted sum reachable
-            hi = min(win.tot_hi - f - s, cap)
-            if vi == 2:
-                lo_needed = -(-max(0, win.wc_lo - base_w) // d)
-                rest_lo[vi] = max(rest_lo[vi], lo_needed)
-            if hi < rest_lo[vi]:
-                return None
-            rest_hi.append(hi)
         rests = [_randint(bits, rest_lo[i], rest_hi[i]) for i in range(3)]
         totals = [f + s + r for f, s, r in zip(firsts, seconds, rests)]
         if not win.totals_ok(*totals):
@@ -389,7 +383,7 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
             if w_lo > w_hi:
                 ok = False
                 break
-            skel = _skeleton(r, _randint(bits, w_lo, w_hi), 3, d, d)
+            skel = _skeleton(r, _randint(bits, w_lo, w_hi), 3, d)
             skel[0] += f
             skel[1] += s
             vecs.append(tuple(skel))

@@ -1,6 +1,7 @@
 import json
 import random
 import signal
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -136,6 +137,11 @@ def test_extended_fourier_never_above_fourier():
 
 
 def test_exhaustive_refusal():
+    # d = 9 would enumerate 2**27 subset triples; the refusal is immediate
+    t0 = time.perf_counter()
+    with pytest.raises(SubsetSearchRefusal):
+        geometry_bound(zeros(9), mode="exhaustive")
+    assert time.perf_counter() - t0 < 1
     cfg = zeros(13)
     with pytest.raises(SubsetSearchRefusal):
         geometry_bound(cfg, mode="exhaustive")
@@ -522,8 +528,8 @@ def test_config_accessors():
     cfg = cfg_of(
         [F(1, 10), F(1, 5)], [F(1, 20), F(1, 4)], [F(0), F(3, 10)], delta=F(1, 1000)
     )
-    assert cfg.totals == (F(3, 10), F(3, 10), F(3, 10))
-    assert cfg.class_sums == (F(3, 20), F(3, 4))
+    assert [cfg.total(v) for v in "abc"] == [F(3, 10)] * 3
+    assert cfg.vector("c") == (F(0), F(3, 10))
 
 
 def test_config_validation():

@@ -994,7 +994,7 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         2, "201ec977c666d7279258d8694823cea4e89851711426b4965f774c23da3b12b0"),
     "error-budget-exceeded": (
         _NLAMBDA + ("--budget", "10"),
-        2, "93f9ca7aa7e9ecf41eddbfc2e6d44180e32550df27231a4780046b186d900e85"),
+        2, "297f9e00f1d5cb1c5103d62829558b711b540c5cd72a3ed1ef51001c35b816f3"),
     "error-invalid-argument": (
         _COUNT_S[:4] + ("--alpha=-1/2",) + _COUNT_S[6:],
         2, "d363db0257badb8ae2288dae3391e3946e598723e852334fbbd00fe2e7345e22"),

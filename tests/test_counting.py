@@ -393,8 +393,14 @@ def test_budget_estimates_are_pinned():
                                 (10**6, F(3, 2), 10**6, 1001000000)):
         assert _estimate(rb(x, lam, "scan")) == scan
         assert _estimate(rb(x, lam, "radical-first")) == first
+    # 'ca' scans about X**2/4 pairs in either order
+    ca = lambda X, ordered: lambda budget: count_exceptional_triples(
+        X, F(1), ordered=ordered, budget=budget)
+    for X, want in ((1, 1), (2, 3), (40, 440), (4000, 4004000)):
+        assert _estimate(ca(X, True)) == _estimate(ca(X, False)) == want
     # the refusal boundary: a budget equal to the estimate runs
-    for run, est in ((s(40), 780), (ternary((7, 5, 9), "nested"), 2520),
+    for run, est in ((s(40), 780), (ca(40, True), 440), (ca(40, False), 440),
+                     (ternary((7, 5, 9), "nested"), 2520),
                      (ternary((7, 5, 9), "solve-z"), 140),
                      (rb(5000, F(2, 3), "scan"), 5000),
                      (rb(5000, F(2, 3), "radical-first"), 5292)):
@@ -423,12 +429,23 @@ def test_budget_refusal():
         count_radical_bounded(10**7, F(1, 2), budget=10**6)
 
 
+def test_identical_calls_give_equal_results():
+    q = TernaryQuery((1, 2, 3), (1, -1, 2), (7, 5, 9))
+    spec = box(1, (1, 1, 1), (1,), (2,), (4,))
+    for call in (lambda: count_exceptional_triples(60, F(1)),
+                 lambda: count_exceptional_triples(60, F(1), strategy="ab"),
+                 lambda: count_s(40, F(1, 2), F(1), F(2, 3)),
+                 lambda: count_radical_bounded(500, F(1, 2)),
+                 lambda: count_bd(spec),
+                 lambda: count_ternary(q)):
+        assert call() == call()
+
+
 def test_result_shape():
     r = count_exceptional_triples(9, F(9, 10))
     assert isinstance(r, CountResult)
     assert r.query == "count_exceptional_triples(X=9, lam=9/10, ordered=True)"
     assert r.strategy == "ca"
-    assert r.elapsed_seconds >= 0
 
 
 def test_boxspec_validation():
