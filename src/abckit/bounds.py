@@ -56,7 +56,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 from typing import Iterable, Sequence
+
+from .radicals import BudgetExceeded
 
 Rat = Fraction | int
 
@@ -66,6 +69,7 @@ METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
 EXHAUSTIVE_LIMIT = 8  # most classes geometry_bound(mode="exhaustive") takes
+COVER_NODE_CAP = 10**6  # most nodes one branch-and-bound cover search visits
 
 
 class SubsetSearchRefusal(ValueError):
@@ -182,28 +186,29 @@ def _fourier(vecs, dn, scale):
     return best, 2 * scale, {"pair": _pair(ui, vi), "m": m_at}
 
 
+def _class_sums(v) -> list[int]:
+    """The pooled divisor classes sum_{p | i} v_i of v, for p = 2..d."""
+    return [sum(v[p - 1::p]) for p in range(2, len(v) + 1)]
+
+
 def _extended_fourier(vecs, dn, scale):
-    d = len(vecs[0])
     # per vector: its largest pooled divisor class, and the first i >= 2 at it
     pooled = []
-    for v in vecs:
-        sums = [sum(v[i - 1::i]) for i in range(2, d + 1)]
+    for sums in map(_class_sums, vecs):
         top = max(sums, default=0)
         pooled.append((top, sums.index(top) + 2 if sums else None))
+    # sum_i max(u_i, v_i) is symmetric: one series per unordered pair,
+    # scanned over the ordered pairs (u, v)
+    a, b, c = vecs
+    ab, ac, bc = sum(map(max, a, b)), sum(map(max, a, c)), sum(map(max, b, c))
     best = None
-    for ui in range(3):
-        for vi in range(3):
-            if ui == vi:
-                continue
-            u, v = vecs[ui], vecs[vi]
-            series = 0
-            for i in range(d):
-                series += u[i] if u[i] >= v[i] else v[i]
-            sub, i_at = pooled[vi]
-            t = scale + dn + series - sub
-            if best is None or t < best:
-                best, witness = t, {"pair": _pair(ui, vi), "i": i_at}
-    return best, 2 * scale, witness
+    for ui, vi, series in ((0, 1, ab), (0, 2, ac), (1, 0, ab),
+                           (1, 2, bc), (2, 0, ac), (2, 1, bc)):
+        t = series - pooled[vi][0]
+        if best is None or t < best:
+            best, at = t, (ui, vi)
+    ui, vi = at
+    return scale + dn + best, 2 * scale, {"pair": _pair(ui, vi), "i": pooled[vi][1]}
 
 
 def _determinant(vecs, dn, scale):
@@ -229,15 +234,12 @@ def _determinant(vecs, dn, scale):
 
 
 def _thue(vecs, dn, scale):
-    d = len(vecs[0])
+    a, b, c = map(_class_sums, vecs)
     sub, at = 0, None
-    for ui in range(3):
-        for vi in range(ui + 1, 3):
-            u, v = vecs[ui], vecs[vi]
-            for p in range(2, d + 1):
-                pooled = sum(u[p - 1::p]) + sum(v[p - 1::p])
-                if pooled > sub:
-                    sub, at = pooled, (ui, vi, p)
+    for ui, vi, su, sv in ((0, 1, a, b), (0, 2, a, c), (1, 2, b, c)):
+        for p, pooled in enumerate(map(add, su, sv), 2):
+            if pooled > sub:
+                sub, at = pooled, (ui, vi, p)
     if at is None:  # nothing pooled: just 1 + delta
         return scale + dn, scale, {"pair": None, "p": None}
     ui, vi, p = at
@@ -317,6 +319,9 @@ def _cover_branch_bound(
     record leaves in the same order: the first optimum in search order
     and its masks do not depend on which bound prunes.
 
+    A search that passes COVER_NODE_CAP nodes (counting those the cheap
+    bound keeps) is refused with BudgetExceeded("geometry_bound", ...).
+
     ``stop_at`` ends the search as soon as the incumbent is <= stop_at.
     The value returned then lies between the optimum and stop_at (the
     masks attain it); when no subset triple gets that low the search runs
@@ -351,7 +356,7 @@ def _cover_branch_bound(
     best_cost = deficit  # take nothing beyond the free items
     best_sets: tuple[int, ...] = ()
     scan_after = 4 * n  # nodes searched on the cheap bound alone
-    nodes = 0
+    nodes, cap = 0, COVER_NODE_CAP
 
     def prunable(k: int, budget: int, rem: int) -> bool:
         """Whether every completion from item k of a node with deficit rem
@@ -388,6 +393,8 @@ def _cover_branch_bound(
         if cost * i + rem * (i - 1) >= best_cost * i:
             continue
         nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded("geometry_bound", nodes, cap)
         if nodes > scan_after and prunable(k, best_cost - cost, rem):
             continue
         stack.append((k + 1, cost, rem, chosen))
@@ -495,7 +502,8 @@ def geometry_bound(
     Both modes return the certified optimum; 'exhaustive' enumerates all
     2**(3d) subset triples, about a second at d = 8 and eight times longer
     per further class, so it refuses when d exceeds EXHAUSTIVE_LIMIT (8);
-    branch-and-bound takes any d.
+    branch-and-bound takes any d, but refuses with BudgetExceeded a search
+    that passes COVER_NODE_CAP nodes.
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -14,7 +14,9 @@ case catalog replays their constants.  check_constraints evaluates every
 row exactly, summing in integers on the configuration's grid; the sampler
 rounds the rows inward onto an integer lattice (entries are multiples of
 1/scale) so window membership is plain integer comparison and results are
-reproducible bit for bit.
+reproducible bit for bit.  sample_feasible and maximize_nu put every
+query through one rule, _region, which refuses what is invalid and
+decides whether the region is empty.
 
 maximize_nu is a falsification search, not a proof: it samples the region
 (including targeted corner generators near the tight boundary structures),
@@ -104,7 +106,6 @@ ROWS: tuple[Row, ...] = (
     *_rows("C4", SUM, "abc", ("lower", ">=", lambda dl, ep: F(8, 25) - dl),
            ("upper", "<=", lambda dl, ep: F(17, 50) + dl - ep / 2)),
 )
-_ROW = {row.name: row for row in ROWS}
 
 
 @lru_cache(maxsize=16)
@@ -190,8 +191,7 @@ class _Windows:
 def _windows_for(delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windows:
     """The rows rounded onto the lattice of multiples of 1/grid; by default
     the lattice of the smallest multiple of BASE_GRID that every rhs lies on."""
-    dl, ep = F(delta), F(epsilon)
-    rhs = [row.rhs(dl, ep) for row in ROWS]
+    rhs = _row_bounds(F(delta), F(epsilon))
     scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
     # each bound rounded inward (no row is strict): an integer lhs meets
     # the rounded bound iff it meets the rhs
@@ -302,13 +302,12 @@ def _vector_with(total: int, w_lo: int, w_hi: int, d: int, bits):
 
 
 def _draw(win: _Windows, d: int, bits):
-    """One feasible (a, b, c) integer-vector triple, or None."""
+    """One feasible (a, b, c) integer-vector triple, or None.  win comes
+    from _region, so its C4 totals window is not empty."""
     # three _randint(bits, tot_lo, tot_hi) per attempt, inlined as offsets
     # from tot_lo; most attempts fail totals_ok, tested here on the offsets
     lo = win.tot_lo
     n = win.tot_hi - lo + 1
-    if n < 1:
-        raise ValueError(f"empty sampling range [{lo}, {win.tot_hi}]")
     k = n.bit_length()
     pair_lo = win.pair_lo - 2 * lo
     grand_hi = win.grand_hi - 3 * lo
@@ -374,20 +373,18 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
         if not win.totals_ok(*totals):
             continue
         vecs = []
-        ok = True
         for vi in range(3):
             f, s, r = firsts[vi], seconds[vi], rests[vi]
             base_w = f + 2 * s
             w_lo = max(3 * r, (win.wc_lo - base_w) if vi == 2 else 0)
             w_hi = min(d * r, win.w_hi - base_w)
             if w_lo > w_hi:
-                ok = False
                 break
             skel = _skeleton(r, _randint(bits, w_lo, w_hi), 3, d)
             skel[0] += f
             skel[1] += s
             vecs.append(tuple(skel))
-        if ok:
+        else:
             return tuple(vecs)
     return None
 
@@ -448,11 +445,26 @@ def _to_config(vecs, scale: int, delta: Fraction, epsilon: Fraction, d: int):
     )
 
 
-def _provably_empty(d: int, delta: Fraction, epsilon: Fraction) -> bool:
-    """The weighted-capacity argument: W_c <= d * T_c <= d * (C4-c-upper's
-    bound), which cannot reach C1-weighted-c-lower's bound at small d."""
-    cap = _ROW["C4-c-upper"].rhs(delta, epsilon)
-    return d * cap < _ROW["C1-weighted-c-lower"].rhs(delta, epsilon)
+def _region(d: int, delta: Fraction, epsilon: Fraction, grid: int | None):
+    """The one rule for a region query: its _windows_for windows, or why the
+    region is empty (a str).  Refuses d < 1, negative slacks, and d < 3 unless
+    W_c <= d * T_c <= d * C4-c-upper < C1-weighted-c-lower proves it empty."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if delta < 0 or epsilon < 0:
+        raise ValueError("delta and epsilon must be non-negative")
+    if d < 3:
+        rhs = dict(zip((row.name for row in ROWS), _row_bounds(delta, epsilon)))
+        if d * rhs["C4-c-upper"] >= rhs["C1-weighted-c-lower"]:
+            raise ValueError(
+                "d < 3 is only supported where the weighted-capacity argument "
+                "proves the region empty; these slacks are too large")
+        return f"region empty at d={d}: the weighted c-sum cannot reach 1 - eps^2"
+    win = _windows_for(delta, epsilon, grid)
+    if win.tot_lo > win.tot_hi:
+        lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
+        return f"region empty at d={d}: the C4 totals window [{lo}, {hi}] is empty"
+    return win
 
 
 def sample_feasible(
@@ -467,17 +479,19 @@ def sample_feasible(
     """Deterministic feasible samples (the same arguments always return the
     same list).  Corner generators lead, then lattice rejection sampling.
 
-    May return fewer than count (with a warning) if the region is thin at
-    these parameters; entries are multiples of 1/grid when grid is given.
+    The query follows maximize_nu's rule (_region); an empty region raises
+    ValueError with the reason maximize_nu reports.  May return fewer than
+    count (with a warning) if the region is thin at these parameters;
+    entries are multiples of 1/grid when grid is given.
     """
-    if d < 3:
-        raise ValueError("the region is empty for d < 3 at small slacks")
     if count < 1:
         raise ValueError("count must be >= 1")
     if grid is not None and grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     dl, ep = F(delta), F(epsilon)
-    win = _windows_for(dl, ep, grid)
+    win = _region(d, dl, ep, grid)
+    if isinstance(win, str):
+        raise ValueError(win)
     bits = Random(seed * 1_000_003 + 1).getrandbits
     out: list[ExponentConfiguration] = []
     for trip in _corner_triples(win, d, dl, bits):
@@ -769,15 +783,12 @@ def maximize_nu(
     deterministic in (parameters, seed, streams) whatever the core count.
     """
     dl, ep = F(delta), F(epsilon)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if dl < 0 or ep < 0:
-        raise ValueError("delta and epsilon must be non-negative")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if streams < 1:
         raise ValueError("streams must be >= 1")
     method_names = resolve_methods(methods)
+    win = _region(d, dl, ep, None)
     base_kwargs = dict(
         d=d, delta=dl, epsilon=ep, threshold=DEFAULT_THRESHOLD,
         budget=budget, seed=seed, streams=streams, methods=method_names,
@@ -792,19 +803,8 @@ def maximize_nu(
             method_wins={}, verdict=True, outcome="region-empty", note=note,
         )
 
-    if d < 3:
-        if not _provably_empty(d, dl, ep):
-            raise ValueError(
-                "d < 3 is only supported where the weighted-capacity "
-                "argument proves the region empty; these slacks are too large"
-            )
-        return empty(f"region empty at d={d}: the weighted c-sum cannot "
-                     "reach 1 - eps^2; nothing to search")
-    win = _windows_for(dl, ep, None)
-    if win.tot_lo > win.tot_hi:
-        lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
-        return empty(f"region empty at d={d}: the C4 totals window "
-                     f"[{lo}, {hi}] is empty; nothing to search")
+    if isinstance(win, str):
+        return empty(f"{win}; nothing to search")
     climbs_total = hill_climbs(budget)
 
     def task(k: int):

@@ -843,3 +843,30 @@ def test_bounds_eval_tail_shape_d12_answers(capsys, tmp_path):
     geometry = reports["geometry"]
     assert evaluate_at(cfg, "geometry", geometry["witness"]) == F(geometry["value"])
     assert F(reports["best"]["value"]) <= F(geometry["value"])
+
+
+def test_cover_search_refused_past_node_cap(monkeypatch, tmp_path, capsys):
+    # every entry 1/3000 at d = 100 searches for minutes uncapped; a small
+    # cap refuses it after cap + 1 nodes, in the library and in the CLI
+    import abckit.bounds as bounds
+    from abckit.radicals import BudgetExceeded
+
+    monkeypatch.setattr(bounds, "COVER_NODE_CAP", 500)
+    d = 100
+    doc = {"d": d, "a": ["1/3000"] * d, "b": ["1/3000"] * d,
+           "c": ["1/3000"] * d, "delta": "0", "epsilon": "0"}
+    cfg = cfg_of(*(tuple(map(F, doc[v])) for v in "abc"))
+    with pytest.raises(BudgetExceeded) as refused:
+        geometry_bound(cfg)
+    exc = refused.value
+    assert (exc.operation, exc.estimate, exc.budget) == ("geometry_bound", 501, 500)
+    # a search under the cap still answers
+    assert geometry_bound(cfg_of([F(1, 3)] * 3, [F(1, 6)] * 3, [F(1, 9)] * 3))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bounds", "eval", "--config", str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "budget-exceeded", "operation": "geometry_bound",
+        "estimate": 501, "budget": 500, "message": str(exc),
+    }

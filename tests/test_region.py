@@ -497,3 +497,45 @@ def test_search_stays_serial_with_a_thread_alive(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert serial == forked
+
+
+# --- one rule for both entry points ----------------------------------------------
+
+_C4_EMPTY = "region empty at d=6: the C4 totals window [8/25, 63/200] is empty"
+_CAPACITY_EMPTY = "region empty at d=2: the weighted c-sum cannot reach 1 - eps^2"
+_D2_REFUSED = ("d < 3 is only supported where the weighted-capacity argument "
+               "proves the region empty; these slacks are too large")
+
+
+@pytest.mark.parametrize("d, delta, epsilon, kind, message", [
+    (6, F(0), F(1, 20), "empty", _C4_EMPTY),
+    (2, MILLI, MILLI, "empty", _CAPACITY_EMPTY),
+    (2, F(1, 5), MILLI, "refused", _D2_REFUSED),
+    (0, MILLI, MILLI, "refused", "d must be >= 1"),
+    (6, -MILLI, MILLI, "refused", "delta and epsilon must be non-negative"),
+    (6, MILLI, -MILLI, "refused", "delta and epsilon must be non-negative"),
+], ids=["c4-window", "d2-capacity", "d2-large-slack", "d0",
+        "delta-negative", "epsilon-negative"])
+def test_sampler_and_search_share_the_region_rule(d, delta, epsilon, kind, message):
+    # an empty region: the search reports it and the sampler raises its
+    # reason; a refused query: both raise the same message
+    with pytest.raises(ValueError) as sampled:
+        sample_feasible(d, delta, epsilon, 3, seed=0)
+    if kind == "empty":
+        rep = maximize_nu(d, delta, epsilon, budget=10)
+        assert (rep.outcome, rep.samples, rep.maximum) == ("region-empty", 0, None)
+        assert rep.note == f"{message}; nothing to search"
+    else:
+        with pytest.raises(ValueError) as searched:
+            maximize_nu(d, delta, epsilon, budget=10)
+        assert str(searched.value) == message
+    assert str(sampled.value) == message
+
+
+def test_sampler_names_the_empty_c4_window_on_its_grid():
+    # on the 1/7 lattice C4 rounds inward to [3/7, 2/7]: refused by the
+    # rule before any draw, not from inside the draw loop
+    with pytest.raises(ValueError) as sampled:
+        sample_feasible(6, F(0), F(0), 5, seed=0, grid=7)
+    assert str(sampled.value) == (
+        "region empty at d=6: the C4 totals window [3/7, 2/7] is empty")
