@@ -42,6 +42,9 @@ runs to exhaustion, so the value is the certified optimum.  A pruned
 subtree holds no leaf below the incumbent, so the search records the
 same leaves, in the same order, under any admissible bound: the witness
 and every stop_at result are those of the plain search-order enumeration.
+The search counts steps, each node it searches and each item a
+completion-bound scan reads, and refuses with BudgetExceeded past
+COVER_NODE_CAP of them, so the cap bounds its time, not only its nodes.
 
 Given a floor, fast_best may stop a geometry search early: the winning
 method stays exact, and so does any value at or above the floor, while a
@@ -69,7 +72,7 @@ METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
 EXHAUSTIVE_LIMIT = 8  # most classes geometry_bound(mode="exhaustive") takes
-COVER_NODE_CAP = 10**6  # most nodes one branch-and-bound cover search visits
+COVER_NODE_CAP = 2 * 10**7  # most steps (nodes plus items scanned) of one cover search
 
 
 class SubsetSearchRefusal(ValueError):
@@ -212,25 +215,26 @@ def _extended_fourier(vecs, dn, scale):
 
 
 def _determinant(vecs, dn, scale):
-    # over scale * L, L = lcm(1..d), both u_p / q and v_q / p are integers
-    d = len(vecs[0])
-    L = lcm(*range(1, d + 1))
-    head = (scale + dn) * L
-    best = None
-    for ui in range(3):
-        for vi in range(ui + 1, 3):
-            for p, up in enumerate(vecs[ui], 1):
-                upl = up * L
-                for q, vq in enumerate(vecs[vi], 1):
-                    lo = upl // q
-                    alt = vq * L // p
-                    if alt < lo:
-                        lo = alt
-                    t = head - upl - vq * L + lo
-                    if best is None or t < best:
-                        best, at = t, (ui, vi, p, q)
-    ui, vi, p, q = at
-    return best, scale * L, {"pair": _pair(ui, vi), "p": p, "q": q}
+    # term(p, q) = min(A, B), A = 1 + delta - (1 - 1/q) u_p - v_q and
+    # B = 1 + delta - u_p - (1 - 1/p) v_q.  For each q, A is least first at
+    # the first p of the largest u_p (at p = 1 when q = 1: A is flat in p);
+    # B likewise at the first q of the largest v_q.  Each of a pair's 2d
+    # candidates is num / (scale * k); they are compared by cross-
+    # multiplication, a tie going to the least (pair, p, q), as in a scan
+    head = scale + dn
+    best = (1, 0, None)  # 1/0, above every candidate
+    for ui, vi in ((0, 1), (0, 2), (1, 2)):
+        u, v = vecs[ui], vecs[vi]
+        mu, mv = max(u), max(v)
+        pu, qv = u.index(mu) + 1, v.index(mv) + 1
+        for k, uk, vk in zip(range(1, len(u) + 1), u, v):
+            p, q = (pu, qv) if k > 1 else (1, 1)  # A(p, 1), B(1, q) are flat
+            for cand in ((head * k - (k - 1) * mu - k * vk, k, (ui, vi, p, k)),
+                         (head * k - k * uk - (k - 1) * mv, k, (ui, vi, k, q))):
+                if (cand[0] * best[1], cand[2]) < (best[0] * k, best[2]):
+                    best = cand
+    num, k, (ui, vi, p, q) = best
+    return num, scale * k, {"pair": _pair(ui, vi), "p": p, "q": q}
 
 
 def _thue(vecs, dn, scale):
@@ -319,8 +323,10 @@ def _cover_branch_bound(
     record leaves in the same order: the first optimum in search order
     and its masks do not depend on which bound prunes.
 
-    A search that passes COVER_NODE_CAP nodes (counting those the cheap
-    bound keeps) is refused with BudgetExceeded("geometry_bound", ...).
+    A search whose steps pass COVER_NODE_CAP is refused with
+    BudgetExceeded("geometry_bound", steps, cap): a step is a node the
+    cheap bound keeps or an item the O(n) scan reads, so the cap bounds
+    the time a search takes.
 
     ``stop_at`` ends the search as soon as the incumbent is <= stop_at.
     The value returned then lies between the optimum and stop_at (the
@@ -356,27 +362,33 @@ def _cover_branch_bound(
     best_cost = deficit  # take nothing beyond the free items
     best_sets: tuple[int, ...] = ()
     scan_after = 4 * n  # nodes searched on the cheap bound alone
-    nodes, cap = 0, COVER_NODE_CAP
+    nodes = steps = 0  # nodes searched; nodes plus items the scans read
+    cap = COVER_NODE_CAP
 
     def prunable(k: int, budget: int, rem: int) -> bool:
         """Whether every completion from item k of a node with deficit rem
         adds at least budget to its cost: the overshoot bound and the
-        fractional fill are both >= budget."""
+        fractional fill are both >= budget.  Each item read is a step."""
+        nonlocal steps
         fill, left = 0, rem  # the fill's cost so far, and the deficit left
         for j in range(k, n):
             i, w, u, _, _ = items[j]
             if u >= rem:
                 if w < budget:
-                    return False
+                    break
             elif left:
                 if u < left:
                     fill += w
                     left -= u
                 else:  # the fill ends in this item: fill + left * (i - 1)/i
                     if fill * i + left * (i - 1) < budget * i:
-                        return False
+                        break
                     left = 0
-        return not left or fill + left >= budget
+        else:
+            steps += n - k
+            return not left or fill + left >= budget
+        steps += j - k + 1
+        return False
 
     stack = [(0, 0, deficit, ())] if deficit > stop else []
     while stack:
@@ -393,8 +405,10 @@ def _cover_branch_bound(
         if cost * i + rem * (i - 1) >= best_cost * i:
             continue
         nodes += 1
-        if nodes > cap:
-            raise BudgetExceeded("geometry_bound", nodes, cap)
+        steps += 1
+        if steps > cap:
+            raise BudgetExceeded("geometry_bound", steps, cap, f"{steps} search "
+                                 f"steps (nodes plus items scanned) exceed the cap {cap}")
         if nodes > scan_after and prunable(k, best_cost - cost, rem):
             continue
         stack.append((k + 1, cost, rem, chosen))
@@ -483,7 +497,12 @@ def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
     vector pairs and class indices p, q.
 
     The term is symmetric under swapping (u, p) with (v, q), so only
-    unordered pairs are scanned; the first minimizer is the same."""
+    unordered pairs are read; the first minimizer is the same.  In closed
+    form the term is min(A, B), A = 1 + delta - (1 - 1/q) u_p - v_q and
+    B = 1 + delta - u_p - (1 - 1/p) v_q, so a pair's minimum is the least of
+    the 2d values 1 + delta - (1 - 1/q) max u - v_q and
+    1 + delta - u_p - (1 - 1/p) max v, read in one pass per pair.  The
+    witness is the first minimizer over (pair, p, q) in that order."""
     return _report("determinant", _determinant, cfg)
 
 
@@ -503,7 +522,7 @@ def geometry_bound(
     2**(3d) subset triples, about a second at d = 8 and eight times longer
     per further class, so it refuses when d exceeds EXHAUSTIVE_LIMIT (8);
     branch-and-bound takes any d, but refuses with BudgetExceeded a search
-    that passes COVER_NODE_CAP nodes.
+    that passes COVER_NODE_CAP steps (nodes plus items scanned).
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -218,7 +218,8 @@ def count_exceptional_triples(
         raise ValueError("need X >= 1 and lam >= 0")
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    p, q = lam.numerator, lam.denominator
+    # rad(abc) <= abc < c**3, so every lam >= 3 counts as lam = 3
+    p, q = min(lam, 3).as_integer_ratio()
     if strategy == "ca":
         # the half-row scan visits about X**2/4 pairs in either order
         check_budget("count_exceptional_triples", X * X // 4 + X, budget)
@@ -357,6 +358,10 @@ def count_s(
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
     check_budget("count_s", est, budget)
+    # every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
+    # (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
+    # depend on e)
+    exps = [min(e, 1) for e in (alpha, beta, gamma)]
 
     def window(r: int, expo: Fraction) -> bool:
         # r in (X^expo, 2*X^expo] via r^q vs X^p and vs 2^q * X^p
@@ -378,14 +383,14 @@ def count_s(
     c_lo = (X + 1) // 2 if star else 2
     if strategy == "ca":
         rad_of = build_radical_table(X)
-        ok_a, ok_b, ok_c = (member_tests(rad_of, e) for e in (alpha, beta, gamma))
+        ok_a, ok_b, ok_c = (member_tests(rad_of, e) for e in exps)
         for c in compress(range(c_lo, X + 1), ok_c[c_lo:]):
             # a runs up from 1 while b = c - a runs down from c - 1
             hits = compress(range(1, c), map(and_, ok_a[1:c], ok_b[c - 1:0:-1]))
             count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
         rads = [0] + [_trial_radical(n) for n in range(1, X + 1)]
-        ok_a, ok_b, ok_c = (member_tests(rads, e) for e in (alpha, beta, gamma))
+        ok_a, ok_b, ok_c = (member_tests(rads, e) for e in exps)
         for a in compress(range(1, X), ok_a[1:X]):
             # b runs up from b0 while c = a + b runs up from a + b0 to X
             b0 = max(1, c_lo - a)
@@ -423,7 +428,8 @@ def count_radical_bounded(
         raise ValueError("need x >= 1 and lam >= 0")
     if strategy not in ("scan", "radical-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    p, q = lam.numerator, lam.denominator
+    # rad(n) <= n <= x, so every lam >= 1 counts as lam = 1
+    p, q = min(lam, 1).as_integer_ratio()
     if strategy == "scan":
         check_budget("count_radical_bounded", x, budget)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here

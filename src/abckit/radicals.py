@@ -50,16 +50,21 @@ SEGMENT = 2**15
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an operation would do more work than allowed."""
+    """Raised when an operation would do more work than allowed.
 
-    def __init__(self, operation: str, estimate: int, budget: int):
+    ``estimate`` is the work counted and ``budget`` the most allowed.  The
+    message says what was counted: estimated candidate evaluations, unless
+    ``detail`` gives the text after the operation name instead."""
+
+    def __init__(self, operation: str, estimate: int, budget: int,
+                 detail: str | None = None):
         self.operation = operation
         self.estimate = estimate
         self.budget = budget
-        super().__init__(
-            f"{operation}: estimated {estimate} candidate evaluations "
-            f"exceeds budget {budget}"
-        )
+        if detail is None:
+            detail = (f"estimated {estimate} candidate evaluations "
+                      f"exceeds budget {budget}")
+        super().__init__(f"{operation}: {detail}")
 
 
 def radical_segments(limit: int):
@@ -150,7 +155,10 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_LIMIT:
-        raise BudgetExceeded("factorize", isqrt(n), _RHO_CAP)
+        raise BudgetExceeded(
+            "factorize", isqrt(n), _RHO_CAP,
+            f"cannot prove the probable prime {n} prime: it is above the "
+            f"Miller-Rabin bound {_MR_LIMIT}")
     return True
 
 
@@ -171,7 +179,8 @@ def _rho_factor(n: int) -> int:
             # one round steps y 2r times (r to catch up, r in blocks of m)
             spent += 2 * r
             if spent > _RHO_CAP:
-                raise BudgetExceeded("factorize", spent, _RHO_CAP)
+                raise BudgetExceeded("factorize", spent, _RHO_CAP,
+                                     f"{spent} rho iterations exceed the cap {_RHO_CAP}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -776,8 +776,9 @@ def maximize_nu(
     holds delta: its denominator survives in 8/25 - delta, the rhs of
     C4-*-lower, and 25 divides BASE_GRID.  `budget` counts sampling
     draws; hill-climbing adds ~15% more evaluations on top, from each
-    stream's best sample, with steps 1/100, 1/1000, 1/10000 projected
-    back to feasibility.  The streams
+    stream's best sample, with steps 1/100, 1/1000, 1/10000; each move
+    shifts mass between two entries, never below zero, and a move that
+    leaves the region is rejected, not repaired.  The streams
     that draw are spread over the usable cores (forked workers, see
     _run_streams) and merged in stream order, so the result is
     deterministic in (parameters, seed, streams) whatever the core count.

@@ -291,8 +291,10 @@ _REPLAYED = {
 
 
 def _replay_configs():
-    """200 configs on the 3,000,000 grid, then 200 with mixed denominators,
-    each with the grid fast_best reads it on."""
+    """200 configs on the 3,000,000 grid, 200 with mixed denominators, then
+    tie-heavy ones (all-zero vectors, equal entries, d = 1, entries in
+    {0, 1/6, 1/3}), where scan order alone picks the witness; each with
+    the grid fast_best reads it on."""
     grid = 3_000_000
     rng = random.Random(4242)
     for _ in range(200):
@@ -311,6 +313,19 @@ def _replay_configs():
         cfg = _random_cfg(rng, max_d=6)
         yield cfg, lcm(cfg.delta.denominator,
                        *(x.denominator for x in cfg.a + cfg.b + cfg.c))
+    for d in range(1, 7):
+        yield zeros(d), 1
+        yield zeros(d, delta=F(1, 5)), 5
+        same = [F(1, 7)] * d
+        yield cfg_of(same, same, same), 7
+    rng = random.Random(4244)
+    for _ in range(200):
+        d = rng.choice((1, 1, 2, 3, 4, 5, 6))
+
+        def vec():
+            return tuple(F(rng.randint(0, 2), 6) for _ in range(d))
+
+        yield cfg_of(vec(), vec(), vec(), delta=F(rng.randint(0, 1), 6)), 6
 
 
 def test_cores_replay_to_first_minimizer():
@@ -843,6 +858,47 @@ def test_bounds_eval_tail_shape_d12_answers(capsys, tmp_path):
     geometry = reports["geometry"]
     assert evaluate_at(cfg, "geometry", geometry["witness"]) == F(geometry["value"])
     assert F(reports["best"]["value"]) <= F(geometry["value"])
+
+
+def _flat_doc(d: int, entry: str) -> dict:
+    row = [entry] * d
+    return {"d": d, "a": row, "b": row, "c": row, "delta": "1/1000", "epsilon": "0"}
+
+
+@pytest.mark.parametrize("d, entry, method, seconds", [
+    (2000, "1/6000", "determinant", 2.0),  # a scan over every (p, q) took 29 s
+    (300, "1/3000", "all", 5.0),  # a cap on nodes alone let geometry run 27 s
+])
+def test_bounds_eval_answers_or_refuses_in_time(capsys, tmp_path, d, entry, method,
+                                                seconds):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(_flat_doc(d, entry)))
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        code = main(["bounds", "eval", "--config", str(path), "--method", method])
+    except _Timeout:
+        pytest.fail(f"bounds eval --method {method} at d = {d} took over {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    doc = json.loads(capsys.readouterr().out)
+    if method == "determinant":
+        # every entry e: the least term is 1 + delta - 2e + e/d, first at p = 1, q = d
+        e = F(entry)
+        assert code == 0
+        assert doc["reports"] == [{
+            "method": "determinant", "value": str(1 + F(1, 1000) - 2 * e + e / d),
+            "witness": {"pair": ["a", "b"], "p": 1, "q": d},
+        }]
+    else:
+        # the cover search's cap counts its steps: nodes plus items scanned
+        err = doc["error"]
+        assert code == 2
+        assert (err["kind"], err["operation"]) == ("budget-exceeded", "geometry_bound")
+        assert err["message"] == (f"geometry_bound: {err['estimate']} search steps "
+                                  f"(nodes plus items scanned) exceed the cap "
+                                  f"{err['budget']}")
 
 
 def test_cover_search_refused_past_node_cap(monkeypatch, tmp_path, capsys):

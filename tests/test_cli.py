@@ -92,6 +92,53 @@ def test_count_debruijn(capsys):
     assert doc["count"] == 30
 
 
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(abckit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _cap_address_space():
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+
+
+@pytest.mark.parametrize("argv, flag, point", [
+    (("count", "nlambda", "--x", "50"), "--lambda", "3"),
+    (("count", "nlambda", "--x", "50", "--strategy", "ab"), "--lambda", "3"),
+    (("count", "s", "--x", "30", "--beta", "1/2", "--gamma", "2/3"), "--alpha", "1"),
+    (("count", "s", "--x", "30", "--alpha", "1/2", "--beta", "1/3", "--star"),
+     "--gamma", "1"),
+    (("count", "debruijn", "--x", "10"), "--lambda", "1"),
+    (("count", "debruijn", "--x", "10", "--strategy", "radical-first"),
+     "--lambda", "1"),
+], ids=["nlambda-ca", "nlambda-ab", "s-plain", "s-star", "debruijn-scan",
+        "debruijn-radical-first"])
+def test_count_saturated_exponent_counts_as_its_saturation_point(capsys, argv,
+                                                                 flag, point):
+    # past its saturation point an exponent changes no test, so 10^12 counts
+    # as the point; the child is capped at 512 MB and 10 s, so building the
+    # power 10^12 asks for fails instead of exhausting the machine
+    code, want = run_json(capsys, *argv, flag, point)
+    huge = "1000000000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit", *argv, flag, huge],
+        capture_output=True, text=True, env=_child_env(), timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code == 0, proc.stderr[-300:]
+    got = json.loads(proc.stdout)
+    assert got["count"] == want["count"]
+    # the query names the exponent as given
+    assert huge in got["query"]
+    assert got["query"].replace(huge, point) == want["query"]
+
+
 def test_count_s_csv(capsys):
     code, out = run(capsys, "count", "s", "--x", "20", "--alpha", "1",
                     "--beta", "1", "--gamma", "1", "--format", "csv")

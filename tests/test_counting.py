@@ -390,7 +390,9 @@ def test_budget_estimates_are_pinned():
     for x, lam, scan, first in ((1, F(1), 1, 2), (100, F(1, 2), 100, 110),
                                 (5000, F(2, 3), 5000, 5292),
                                 (10**7, F(1, 2), 10**7, 10003162),
-                                (10**6, F(3, 2), 10**6, 1001000000)):
+                                # lambda = 3/2 counts as 1, since rad n <= n:
+                                # radicals up to x, not up to x**(3/2)
+                                (10**6, F(3, 2), 10**6, 2000000)):
         assert _estimate(rb(x, lam, "scan")) == scan
         assert _estimate(rb(x, lam, "radical-first")) == first
     # 'ca' scans about X**2/4 pairs in either order

@@ -194,6 +194,24 @@ def test_rho_iteration_cap(monkeypatch):
     assert info.value.budget == 64 < info.value.estimate
 
 
+def test_refusals_say_what_they_counted(monkeypatch):
+    # an oracle's estimate is of candidate evaluations; rho counts its
+    # iterations, and a probable prime is refused for want of a proof
+    assert str(BudgetExceeded("count_s", 10, 5)) == (
+        "count_s: estimated 10 candidate evaluations exceeds budget 5")
+    m89 = 2**89 - 1
+    with pytest.raises(BudgetExceeded) as info:
+        factorize(m89)
+    assert str(info.value) == (
+        f"factorize: cannot prove the probable prime {m89} prime: it is above "
+        f"the Miller-Rabin bound {radicals._MR_LIMIT}")
+    monkeypatch.setattr(radicals, "_RHO_CAP", 64)
+    with pytest.raises(BudgetExceeded) as info:
+        factorize(1_000_003 * 1_000_033)
+    assert str(info.value) == (
+        f"factorize: {info.value.estimate} rho iterations exceed the cap 64")
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         radical(0)
