@@ -707,42 +707,6 @@ def _determinant_floor(vecs, dn, scale):
     return scale + dn - tops[1] - tops[2], scale
 
 
-def _geometry_below(vecs, dn, scale, names, floor, values):
-    """fast_best's early exit: (num, den, "geometry") when geometry wins and
-    some subset triple shows it below ``floor``, else None.
-
-    Every method but geometry and determinant is evaluated exactly and
-    determinant through _determinant_floor; together with the floor they
-    cap the cover value geometry may take: strictly below the methods
-    listed before it (ties go to the first listed), at most the ones after
-    it, and strictly below the floor.  The cover search stops at the first
-    subset triple under that cap.  The exact values computed on the way,
-    geometry's too when its search runs to exhaustion, are left in
-    ``values``.
-    """
-
-    def cap(num, den, strict):
-        # largest cover c with (dn + c) / scale < num / den, or <= if not strict
-        return (num * scale - strict) // den - dn
-
-    limit = cap(*floor, True)
-    after = False
-    for name in names:
-        if name == "geometry":
-            after = True
-            continue
-        if name == "determinant":
-            num, den = _determinant_floor(vecs, dn, scale)
-        else:
-            num, den, _ = values[name] = _CORES[name](vecs, dn, scale)
-        limit = min(limit, cap(num, den, not after))
-    cover, _ = _cover_branch_bound(vecs, scale, stop_at=limit)
-    if cover <= limit:
-        return dn + cover, scale, "geometry"
-    values["geometry"] = (dn + cover, scale, None)
-    return None
-
-
 def fast_best(
     vecs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
     delta_num: int,
@@ -761,15 +725,32 @@ def fast_best(
     ``floor = (num, den)`` is for callers that only need to know whether
     the minimum reaches num/den.  The method name is always exact, and so
     is the value whenever it is >= the floor.  Below the floor the value
-    may be any upper bound v on the minimum with v < floor: when geometry
-    wins, its search stops at the first subset triple that proves both.
+    may be any upper bound v on the minimum with v < floor: geometry's
+    search stops at the first subset triple under a cap taken from the
+    floor and every other listed method, determinant through its O(d)
+    _determinant_floor.  The cap is strict for the floor and the methods
+    listed before geometry, non-strict for those after it.
     """
     names = METHOD_NAMES if methods is None else methods
     values: dict[str, tuple] = {}  # name: (num, den, witness)
     if floor is not None and "geometry" in names:
-        hit = _geometry_below(vecs, delta_num, scale, names, floor, values)
-        if hit is not None:
-            return hit
+        # the largest cover c with (delta_num + c) / scale < num / den for the
+        # floor and each method before geometry, <= for those after it
+        limit = (floor[0] * scale - 1) // floor[1] - delta_num
+        strict = True
+        for name in names:
+            if name == "geometry":
+                strict = False
+                continue
+            if name == "determinant":
+                num, den = _determinant_floor(vecs, delta_num, scale)
+            else:
+                num, den, _ = values[name] = _CORES[name](vecs, delta_num, scale)
+            limit = min(limit, (num * scale - strict) // den - delta_num)
+        cover, _ = _cover_branch_bound(vecs, scale, stop_at=limit)
+        if cover <= limit:
+            return delta_num + cover, scale, "geometry"
+        values["geometry"] = (delta_num + cover, scale, None)
     best = None  # (num, den, name)
     for name in names:
         num, den, _ = values.get(name) or _CORES[name](vecs, delta_num, scale)

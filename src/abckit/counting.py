@@ -163,6 +163,21 @@ def check_budget(operation: str, estimate: int, budget: int) -> None:
         raise BudgetExceeded(operation, estimate, budget)
 
 
+def _saturated(e: Fraction, X: int, top: int) -> Fraction:
+    """The exponent a count on 1..X reads in place of e: ``top`` once
+    e >= top, where the oracle's tests stop changing, and 0 once
+    2 * p * bitlen(X) <= q (e = p/q).  Then X**(2*p) < 2**q, so every n**e
+    with n <= X lies in [1, sqrt 2), and each test answers as at e = 0: a
+    radical r <= n**e is 1, the window (X**e, 2 * X**e] holds only 2, and
+    no rad(abc) >= 2 lies below c**e.  Both rules compare fractions and bit
+    lengths; neither builds a power."""
+    if e >= top:
+        return Fraction(top)
+    if 2 * e.numerator * X.bit_length() <= e.denominator:
+        return Fraction(0)
+    return e
+
+
 def _trial_radical(n: int) -> int:
     """rad(n) by bare trial division -- deliberately independent of the
     sieve used by the 'ca' strategies."""
@@ -212,14 +227,17 @@ def count_exceptional_triples(
       upper bound on the members walked, computed from the radicals and
       the class sizes before the index is built; at lam = 1 that is about
       1.2 * 10**6 for X = 10**5.  It holds about 12 bytes per n.
+
+    Since rad(abc) <= abc < c**3, every lam >= 3 counts as lam = 3, and a
+    lam = p/q with 2 * p * bitlen(X) <= q counts as 0 (_saturated), so
+    neither builds a huge power; the query names lam as given.
     """
     lam = Fraction(lam)
     if X < 1 or lam < 0:
         raise ValueError("need X >= 1 and lam >= 0")
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # rad(abc) <= abc < c**3, so every lam >= 3 counts as lam = 3
-    p, q = min(lam, 3).as_integer_ratio()
+    p, q = _saturated(lam, X, 3).as_integer_ratio()
     if strategy == "ca":
         # the half-row scan visits about X**2/4 pairs in either order
         check_budget("count_exceptional_triples", X * X // 4 + X, budget)
@@ -348,6 +366,12 @@ def count_s(
     pairs that pass.  'ca' sweeps c, then a, over the sieve table; 'ab'
     sweeps a, then b, over a plain trial-division radical.  Negative
     exponents are refused.
+
+    Every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
+    (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
+    depend on e).  So an exponent e >= 1 counts as 1, and an e = p/q with
+    2 * p * bitlen(X) <= q counts as 0 (_saturated); the query names the
+    exponents as given.
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if X < 1:
@@ -358,10 +382,7 @@ def count_s(
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
     check_budget("count_s", est, budget)
-    # every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
-    # (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
-    # depend on e)
-    exps = [min(e, 1) for e in (alpha, beta, gamma)]
+    exps = [_saturated(e, X, 1) for e in (alpha, beta, gamma)]
 
     def window(r: int, expo: Fraction) -> bool:
         # r in (X^expo, 2*X^expo] via r^q vs X^p and vs 2^q * X^p
@@ -422,14 +443,17 @@ def count_radical_bounded(
     O(sqrt(x)) words plus one block.  'radical-first' enumerates squarefree
     radicals r <= t and counts, for each, the n <= x whose radical is
     exactly r.
+
+    Since rad(n) <= n <= x, every lam >= 1 counts as lam = 1, and a
+    lam = p/q with 2 * p * bitlen(x) <= q counts as 0 (_saturated); the
+    query names lam as given.
     """
     lam = Fraction(lam)
     if x < 1 or lam < 0:
         raise ValueError("need x >= 1 and lam >= 0")
     if strategy not in ("scan", "radical-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # rad(n) <= n <= x, so every lam >= 1 counts as lam = 1
-    p, q = min(lam, 1).as_integer_ratio()
+    p, q = _saturated(lam, x, 1).as_integer_ratio()
     if strategy == "scan":
         check_budget("count_radical_bounded", x, budget)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here

@@ -581,7 +581,6 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
     best = None  # (num, den, vecs)
     wins: dict[str, int] = {}
     feasible = 0
-    evaluated = 0
     corner_count = 0
 
     def consider(vecs):
@@ -599,10 +598,8 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
     if stream == 0:
         for trip in _corner_triples(win, d, delta, bits):
             corner_count += 1
-            evaluated += 1
             consider(trip)
     for _ in range(draws):
-        evaluated += 1
         trip = _draw(win, d, bits)
         if trip is not None:
             consider(trip)
@@ -615,7 +612,6 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
                 if used >= climbs:
                     break
                 used += 1
-                evaluated += 1
                 vecs = best[2]
                 move = _randint(bits, 0, 1)
                 lv = [list(v) for v in vecs]
@@ -640,7 +636,7 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
                     improved = True
         if not improved:
             break
-    return best, wins, feasible, evaluated, corner_count
+    return best, wins, feasible, corner_count + draws + used, corner_count
 
 
 # --- running the streams on every usable core ---------------------------------
@@ -790,59 +786,49 @@ def maximize_nu(
         raise ValueError("streams must be >= 1")
     method_names = resolve_methods(methods)
     win = _region(d, dl, ep, None)
-    base_kwargs = dict(
+    best = maximum = argmax = None
+    wins: dict[str, int] = {}
+    feasible = samples = 0
+    if isinstance(win, str):
+        mix = {"draws": 0, "hill": 0, "corners": 0}
+        note = f"{win}; nothing to search"
+    else:
+        climbs_total = hill_climbs(budget)
+
+        def task(k: int):
+            # stream 0 also takes the remainders
+            draws = budget // streams + (0 if k else budget % streams)
+            climbs = climbs_total // streams + (0 if k else climbs_total % streams)
+            return _stream_task(win, d, seed, k, draws, climbs, method_names, dl)
+
+        # streams k >= 1 draw budget // streams each; with none they find
+        # nothing, (None, {}, 0, 0, 0), so only the streams that draw run
+        mix = {"draws": budget, "hill": climbs_total, "corners": 0}
+        for sbest, swins, sfeas, seval, scorn in _run_streams(
+            task, streams if budget >= streams else 1
+        ):
+            feasible += sfeas
+            samples += seval
+            mix["corners"] += scorn
+            for m, v in swins.items():
+                wins[m] = wins.get(m, 0) + v
+            if sbest is not None and _beats(sbest, best):
+                best = sbest
+        note = (f"no feasible sample found at d={d}, delta={dl}, epsilon={ep}; "
+                "region empty or too thin for this sampler")
+    if best is not None:
+        num, den, vecs = best
+        argmax = _to_config(vecs, win.scale, dl, ep, d)
+        maximum = best_bound(argmax, methods=method_names).value
+        if maximum != F(num, den):
+            raise RuntimeError("fast path disagrees with canonical evaluator")
+        note = RegionSearchReport.note
+    return RegionSearchReport(
         d=d, delta=dl, epsilon=ep, threshold=DEFAULT_THRESHOLD,
         budget=budget, seed=seed, streams=streams, methods=method_names,
-    )
-
-    def empty(note: str, mix=None, samples: int = 0) -> RegionSearchReport:
-        # no feasible sample: nothing searched (mix None) or nothing found
-        return RegionSearchReport(
-            **base_kwargs,
-            strategy_mix=mix or {"draws": 0, "hill": 0, "corners": 0},
-            samples=samples, feasible=0, maximum=None, argmax=None,
-            method_wins={}, verdict=True, outcome="region-empty", note=note,
-        )
-
-    if isinstance(win, str):
-        return empty(f"{win}; nothing to search")
-    climbs_total = hill_climbs(budget)
-
-    def task(k: int):
-        # stream 0 also takes the remainders
-        draws = budget // streams + (0 if k else budget % streams)
-        climbs = climbs_total // streams + (0 if k else climbs_total % streams)
-        return _stream_task(win, d, seed, k, draws, climbs, method_names, dl)
-
-    # streams k >= 1 draw budget // streams each; with none they find
-    # nothing, (None, {}, 0, 0, 0), so only the streams that draw run
-    best = None
-    wins: dict[str, int] = {}
-    feasible = samples = corners = 0
-    for sbest, swins, sfeas, seval, scorn in _run_streams(
-        task, streams if budget >= streams else 1
-    ):
-        feasible += sfeas
-        samples += seval
-        corners += scorn
-        for m, v in swins.items():
-            wins[m] = wins.get(m, 0) + v
-        if sbest is not None and _beats(sbest, best):
-            best = sbest
-    mix = {"draws": budget, "hill": climbs_total, "corners": corners}
-    if best is None:
-        return empty(f"no feasible sample found at d={d}, delta={dl}, "
-                     f"epsilon={ep}; region empty or too thin for this sampler",
-                     mix, samples)
-    num, den, vecs = best
-    argmax = _to_config(vecs, win.scale, dl, ep, d)
-    maximum = best_bound(argmax, methods=method_names).value
-    if maximum != F(num, den):
-        raise RuntimeError("fast path disagrees with canonical evaluator")
-    return RegionSearchReport(
-        **base_kwargs, strategy_mix=mix, samples=samples, feasible=feasible,
-        maximum=maximum, argmax=argmax,
-        method_wins=dict(sorted(wins.items())),
-        verdict=maximum <= DEFAULT_THRESHOLD, outcome="ok",
+        strategy_mix=mix, samples=samples, feasible=feasible,
+        maximum=maximum, argmax=argmax, method_wins=dict(sorted(wins.items())),
+        verdict=best is None or maximum <= DEFAULT_THRESHOLD,
+        outcome="region-empty" if best is None else "ok", note=note,
     )
 

@@ -648,6 +648,9 @@ _FLOOR_METHOD_LISTS = (
     None,  # the default order
     ("thue", "determinant", "trivial", "geometry", "fourier"),
     ("trivial", "fourier", "geometry", "determinant", "thue", EXTENDED_METHOD),
+    ("geometry", "thue", "fourier", "determinant", "trivial"),  # no strict method cap
+    ("determinant", "fourier", "thue", "trivial", "geometry"),  # every method cap strict
+    ("fourier", "determinant", "thue", "trivial"),  # no geometry, no early exit
 )
 
 

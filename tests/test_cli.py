@@ -122,21 +122,22 @@ def _cap_address_space():
 def test_count_saturated_exponent_counts_as_its_saturation_point(capsys, argv,
                                                                  flag, point):
     # past its saturation point an exponent changes no test, so 10^12 counts
-    # as the point; the child is capped at 512 MB and 10 s, so building the
-    # power 10^12 asks for fails instead of exhausting the machine
-    code, want = run_json(capsys, *argv, flag, point)
-    huge = "1000000000000"
-    proc = subprocess.run(
-        [sys.executable, "-m", "abckit", *argv, flag, huge],
-        capture_output=True, text=True, env=_child_env(), timeout=10,
-        preexec_fn=_cap_address_space,
-    )
-    assert proc.returncode == code == 0, proc.stderr[-300:]
-    got = json.loads(proc.stdout)
-    assert got["count"] == want["count"]
-    # the query names the exponent as given
-    assert huge in got["query"]
-    assert got["query"].replace(huge, point) == want["query"]
+    # as the point, and 1/10^12 (2 * bitlen(X) <= 10^12) as 0; the child is
+    # capped at 512 MB and 10 s, so building the power such an exponent asks
+    # for fails instead of exhausting the machine
+    for given, same in (("1000000000000", point), ("1/1000000000000", "0")):
+        code, want = run_json(capsys, *argv, flag, same)
+        proc = subprocess.run(
+            [sys.executable, "-m", "abckit", *argv, flag, given],
+            capture_output=True, text=True, env=_child_env(), timeout=10,
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == code == 0, proc.stderr[-300:]
+        got = json.loads(proc.stdout)
+        assert got["count"] == want["count"], given
+        # the query names the exponent as given
+        assert given in got["query"]
+        assert got["query"].replace(given, same) == want["query"]
 
 
 def test_count_s_csv(capsys):
@@ -229,7 +230,7 @@ class _CountingSink:
 def test_sieve_streams_its_rows(monkeypatch, fmt):
     # each block's rows are written as it is sieved: one bound on the
     # peak, whatever the limit
-    for limit in (100_000, 400_000):
+    for limit in (50_000, 200_000):
         sink = _CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()

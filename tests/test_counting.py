@@ -281,15 +281,15 @@ def test_radical_bounded_strategies_agree():
 
 
 def test_radical_bounded_scan_holds_no_table():
-    # the scan walks the sieve one block at a time, never the 8 MB table
+    # the scan walks the sieve one block at a time, never the 1.6 MB table
     tracemalloc.start()
     try:
-        result = count_radical_bounded(10**6, F(2, 3), strategy="scan")
+        result = count_radical_bounded(2 * 10**5, F(2, 3), strategy="scan")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 64257 is also what 'radical-first' counts
-    assert result.count == 64257
+    # 18452 is also what 'radical-first' counts
+    assert result.count == 18452
     assert peak < 10**6
 
 
