@@ -32,7 +32,8 @@ from itertools import accumulate, compress, islice, product, repeat
 from math import gcd, isqrt, prod
 from operator import and_, mul
 
-from .exact import cmp_pow, dyadic_range, exact_root, format_rational, iroot
+from .exact import (check_power, cmp_pow, dyadic_range, exact_root,
+                    format_rational, iroot)
 from .radicals import (
     BudgetExceeded,
     build_radical_table,
@@ -112,10 +113,8 @@ def _rational_power(x: int, e: Fraction) -> Fraction:
     """x**e as an exact rational; refuses when the value is irrational."""
     if e < 0:
         return 1 / _rational_power(x, -e)
-    base = x ** e.numerator
-    if e.denominator == 1:
-        return Fraction(base)
-    root = exact_root(base, e.denominator)
+    check_power("box_for", x, e.numerator)
+    root = exact_root(x ** e.numerator, e.denominator)
     if root is None:
         raise ValueError(f"{x}^{e} is irrational; pick X a compatible power")
     return Fraction(root)
@@ -163,18 +162,20 @@ def check_budget(operation: str, estimate: int, budget: int) -> None:
         raise BudgetExceeded(operation, estimate, budget)
 
 
-def _saturated(e: Fraction, X: int, top: int) -> Fraction:
+def _saturated(e: Fraction, X: int, top: int, operation: str) -> Fraction:
     """The exponent a count on 1..X reads in place of e: ``top`` once
     e >= top, where the oracle's tests stop changing, and 0 once
     2 * p * bitlen(X) <= q (e = p/q).  Then X**(2*p) < 2**q, so every n**e
     with n <= X lies in [1, sqrt 2), and each test answers as at e = 0: a
     radical r <= n**e is 1, the window (X**e, 2 * X**e] holds only 2, and
     no rad(abc) >= 2 lies below c**e.  Both rules compare fractions and bit
-    lengths; neither builds a power."""
+    lengths; neither builds a power.  The oracles raise numbers up to about
+    X to the p or q read, so X**max(p, q) is sized first (check_power)."""
     if e >= top:
-        return Fraction(top)
-    if 2 * e.numerator * X.bit_length() <= e.denominator:
-        return Fraction(0)
+        e = Fraction(top)
+    elif 2 * e.numerator * X.bit_length() <= e.denominator:
+        e = Fraction(0)
+    check_power(operation, X, max(e.numerator, e.denominator))
     return e
 
 
@@ -229,15 +230,15 @@ def count_exceptional_triples(
       1.2 * 10**6 for X = 10**5.  It holds about 12 bytes per n.
 
     Since rad(abc) <= abc < c**3, every lam >= 3 counts as lam = 3, and a
-    lam = p/q with 2 * p * bitlen(X) <= q counts as 0 (_saturated), so
-    neither builds a huge power; the query names lam as given.
+    lam = p/q with 2 * p * bitlen(X) <= q counts as 0, and a power past the
+    size cap is refused (_saturated); the query names lam as given.
     """
     lam = Fraction(lam)
     if X < 1 or lam < 0:
         raise ValueError("need X >= 1 and lam >= 0")
     if strategy not in ("ca", "ab"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    p, q = _saturated(lam, X, 3).as_integer_ratio()
+    p, q = _saturated(lam, X, 3, "count_exceptional_triples").as_integer_ratio()
     if strategy == "ca":
         # the half-row scan visits about X**2/4 pairs in either order
         check_budget("count_exceptional_triples", X * X // 4 + X, budget)
@@ -361,7 +362,9 @@ def count_s(
     dyadic window, rad(a) in (X**alpha, 2*X**alpha], etc.
 
     Each member's test depends on one integer only, so it is computed once
-    per n <= X and exponent, by exact integer powers.  Every candidate pair
+    per n <= X and exponent e = p/q, exactly: rad(n)**q <= n**p in the
+    plain form, and in the localized form two integer roots per exponent,
+    iroot(X**p, q) < rad(n) <= iroot(2**q * X**p, q).  Every candidate pair
     is still tested, against those three tables, and gcd runs only on the
     pairs that pass.  'ca' sweeps c, then a, over the sieve table; 'ab'
     sweeps a, then b, over a plain trial-division radical.  Negative
@@ -370,8 +373,8 @@ def count_s(
     Every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
     (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
     depend on e).  So an exponent e >= 1 counts as 1, and an e = p/q with
-    2 * p * bitlen(X) <= q counts as 0 (_saturated); the query names the
-    exponents as given.
+    2 * p * bitlen(X) <= q counts as 0, and a power past the size cap is
+    refused (_saturated); the query names the exponents as given.
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if X < 1:
@@ -382,23 +385,15 @@ def count_s(
         raise ValueError(f"unknown strategy {strategy!r}")
     est = X * (X - 1) // 2
     check_budget("count_s", est, budget)
-    exps = [_saturated(e, X, 1) for e in (alpha, beta, gamma)]
-
-    def window(r: int, expo: Fraction) -> bool:
-        # r in (X^expo, 2*X^expo] via r^q vs X^p and vs 2^q * X^p
-        pp, qq = expo.numerator, expo.denominator
-        rq = r**qq
-        xp = X**pp
-        return rq > xp and rq <= 2**qq * xp
-
-    def plain(r: int, n: int, expo: Fraction) -> bool:
-        return r ** expo.denominator <= n ** expo.numerator
+    exps = [_saturated(e, X, 1, "count_s") for e in (alpha, beta, gamma)]
 
     def member_tests(rads: list[int], expo: Fraction) -> list[bool]:
         # entry n: does n, of radical rads[n], pass; entry 0 never does
-        if star:
-            return [False] + [window(r, expo) for r in rads[1:]]
-        return [False] + [plain(r, n, expo) for n, r in enumerate(rads[1:], 1)]
+        p, q = expo.as_integer_ratio()
+        if star:  # X**e < r <= 2 * X**e  <=>  lo < r <= hi: two roots per exponent
+            lo, hi = iroot(X**p, q), iroot(X**p << q, q)
+            return [False] + [lo < r <= hi for r in rads[1:]]
+        return [False] + [r**q <= n**p for n, r in enumerate(rads[1:], 1)]
 
     count = 0
     c_lo = (X + 1) // 2 if star else 2
@@ -445,15 +440,15 @@ def count_radical_bounded(
     exactly r.
 
     Since rad(n) <= n <= x, every lam >= 1 counts as lam = 1, and a
-    lam = p/q with 2 * p * bitlen(x) <= q counts as 0 (_saturated); the
-    query names lam as given.
+    lam = p/q with 2 * p * bitlen(x) <= q counts as 0, and a power past the
+    size cap is refused (_saturated); the query names lam as given.
     """
     lam = Fraction(lam)
     if x < 1 or lam < 0:
         raise ValueError("need x >= 1 and lam >= 0")
     if strategy not in ("scan", "radical-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    p, q = _saturated(lam, x, 1).as_integer_ratio()
+    p, q = _saturated(lam, x, 1, "count_radical_bounded").as_integer_ratio()
     if strategy == "scan":
         check_budget("count_radical_bounded", x, budget)
         # r**q <= x**p  <=>  r <= t, for the one integer t checked here
@@ -491,27 +486,15 @@ def count_radical_bounded(
 
 # --- dyadic box counts for the monomial equation ------------------------------
 
+def _ranges(anchors: tuple[Fraction, ...]) -> list[range]:
+    """The integer range of each anchor's dyadic window."""
+    return [range(lo, hi + 1) for lo, hi in map(dyadic_range, anchors)]
+
+
 def _family(anchors: tuple[Fraction, ...]) -> list[tuple[int, int]]:
     """All tuples in the dyadic box, reduced to (prod v_j^j, prod v_j)."""
-    ranges = []
-    for a in anchors:
-        lo, hi = dyadic_range(a)
-        ranges.append(range(lo, hi + 1))
-    out = []
-    for tup in product(*ranges):
-        pw = 1
-        for j, v in enumerate(tup, start=1):
-            pw *= v**j
-        out.append((pw, prod(tup)))
-    return out
-
-
-def _family_size(anchors: tuple[Fraction, ...]) -> int:
-    n = 1
-    for a in anchors:
-        lo, hi = dyadic_range(a)
-        n *= max(0, hi - lo + 1)
-    return n
+    return [(prod(v**j for j, v in enumerate(tup, start=1)), prod(tup))
+            for tup in product(*_ranges(anchors))]
 
 
 def count_bd(
@@ -529,7 +512,9 @@ def count_bd(
     """
     if strategy not in ("nested", "mitm"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    nx, ny, nz = (_family_size(a) for a in (spec.X, spec.Y, spec.Z))
+    # range sizes by subtraction: len() of a range past sys.maxsize overflows
+    nx, ny, nz = (prod(max(0, r.stop - r.start) for r in _ranges(a))
+                  for a in (spec.X, spec.Y, spec.Z))
     est = nx * ny * nz if strategy == "nested" else nz + nx * ny
     check_budget("count_bd", est, budget)
     c1, c2, c3 = spec.coefficients
@@ -587,6 +572,8 @@ def count_ternary(
     X, Y, Z = query.limits
     est = 4 * X * Y * (2 * Z if strategy == "nested" else 1)
     check_budget("count_ternary", est, budget)
+    for limit, e in zip(query.limits, query.exponents):
+        check_power("count_ternary", limit, e)
 
     def signed(limit):
         for v in range(1, limit + 1):
@@ -614,23 +601,16 @@ def count_ternary(
             for y in signed(Y):
                 if gcd(x, y) != 1:
                     continue
-                w = -(a1 * x**p + a2 * y**q)
-                if w % a3:
+                # z**r = m = -(a1 * x**p + a2 * y**q) / a3, an integer; z is
+                # nonzero, and an even power is positive
+                m, rest = divmod(-(a1 * x**p + a2 * y**q), a3)
+                if rest or m == 0 or (m < 0 and r % 2 == 0):
                     continue
-                m = w // a3
-                if m == 0:
-                    continue  # z must be nonzero
-                roots = []
-                if r % 2 == 0:
-                    if m > 0:
-                        root = exact_root(m, r)
-                        if root is not None:
-                            roots = [root, -root]
-                else:
-                    root = exact_root(abs(m), r)
-                    if root is not None:
-                        roots = [root if m > 0 else -root]
-                for z in roots:
+                root = exact_root(abs(m), r)
+                if root is None:
+                    continue
+                # even r: both signs; odd r: the sign of m
+                for z in (root, -root) if r % 2 == 0 else (root if m > 0 else -root,):
                     if abs(z) <= Z and gcd(x, z) == 1 and gcd(y, z) == 1:
                         count += 1
     qstr = (

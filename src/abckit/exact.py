@@ -3,6 +3,10 @@
 Every threshold comparison in this package is exact: rational powers are
 compared by clearing denominators and comparing integer (or Fraction)
 powers, never by floating point.
+
+Every power of unbounded size is sized first (check_power): base**e counts
+as e * bitlen(base) bits, and one past POWER_BITS_CAP = 2**20 bits is
+refused with BudgetExceeded; the cap is a constant, never a budget.
 """
 
 from __future__ import annotations
@@ -11,7 +15,21 @@ from fractions import Fraction
 from math import floor
 from typing import Union
 
+from .radicals import BudgetExceeded
+
 Rational = Union[int, Fraction]
+
+POWER_BITS_CAP = 1 << 20  # 128 KiB per power
+
+
+def check_power(operation: str, base: int, exponent: int) -> None:
+    """Refuse, as operation, a power base**exponent of more than
+    POWER_BITS_CAP bits, sized as the exponent times the base's bit length;
+    a power of 0, 1 or -1 costs nothing."""
+    bits = exponent * abs(base).bit_length() if abs(base) > 1 else 0
+    if bits > POWER_BITS_CAP:
+        raise BudgetExceeded(operation, bits, POWER_BITS_CAP, f"a power of "
+                             f"{bits} bits exceeds the cap {POWER_BITS_CAP}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,13 +57,16 @@ def format_rational(value: Rational) -> str:
 
 
 def cmp_pow(x: Rational, p: int, y: Rational, q: int) -> int:
-    """Sign of x**p - y**q, computed exactly (x, y >= 0; p, q >= 0)."""
+    """Sign of x**p - y**q, computed exactly (x, y >= 0; p, q >= 0); every
+    numerator and denominator power is sized first (check_power)."""
     if p < 0 or q < 0:
         raise ValueError("exponents must be non-negative")
     fx, fy = Fraction(x), Fraction(y)
     if fx < 0 or fy < 0:
         raise ValueError("bases must be non-negative")
     # (a/b)^p vs (c/d)^q  <=>  a^p d^q vs c^q b^p
+    check_power("cmp_pow", max(fx.numerator, fx.denominator), p)
+    check_power("cmp_pow", max(fy.numerator, fy.denominator), q)
     lhs = fx.numerator**p * fy.denominator**q
     rhs = fy.numerator**q * fx.denominator**p
     return (lhs > rhs) - (lhs < rhs)
@@ -64,11 +85,14 @@ def rational_pow_leq(x: Rational, exponent: Fraction, y: Rational) -> bool:
 
 
 def iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers
+    (none when 2 <= n < 2**k, where the root is 1)."""
     if n < 0 or k < 1:
         raise ValueError("iroot requires n >= 0 and k >= 1")
     if n < 2 or k == 1:
         return n
+    if n.bit_length() <= k:  # 2 <= n < 2**k
+        return 1
     x = 1 << (-(-n.bit_length() // k))  # upper bound: 2**ceil(bits/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
+from .exact import check_power
 from .radicals import factorize, radical
 
 
@@ -132,8 +133,10 @@ def verify_power_factorization(pf: PowerFactorization) -> CheckResult:
     X**(-eps) * prod(x_j) <= rad(n) <= X**(eps) * prod(x_j).
     Only the stored parts are walked: the parts equal to 1 change no
     product and no gcd.  All power comparisons are integer comparisons
-    against X**p, with eps = p/q (never floats).  rad(n) is factorized
-    afresh, never read off the parts under audit.
+    against X**p, with eps = p/q (never floats), each sized first
+    (exact.check_power): a power past the cap is refused with
+    BudgetExceeded.  rad(n) is factorized afresh, never read off the parts
+    under audit.
     """
     failures = []
     p, q = pf.epsilon.numerator, pf.epsilon.denominator
@@ -144,16 +147,21 @@ def verify_power_factorization(pf: PowerFactorization) -> CheckResult:
         for k in range(i + 1, len(xs)):
             if gcd(xs[i], xs[k]) != 1:
                 failures.append(f"coprimality: gcd({xs[i]}, {xs[k]}) > 1")
+    op = "verify_power_factorization"
+    check_power(op, pf.X, p)
     Xp = pf.X**p
+    xK = pf.part(pf.K)
+    check_power(op, max(pf.c, xK), 2 * q)
     if pf.c ** (2 * q) > Xp:  # c <= X^(eps/2)
         failures.append("coefficient bound: c^(2q) > X^p")
-    if pf.part(pf.K) ** (2 * q) > Xp:  # x_K <= X^(eps/2)
+    if xK ** (2 * q) > Xp:  # x_K <= X^(eps/2)
         failures.append("folded part bound: x_K^(2q) > X^p")
     r = radical(pf.n)
     w = prod(xs)
     # equal products pass both brackets when X^p >= 1, and are the rule
     # unless a class folds; skipping them spares powers of q*log2(r) bits
     if w != r or Xp < 1:
+        check_power(op, max(w, r), q)
         if w**q > r**q * Xp:  # prod(x_j) <= rad(n) * X^eps
             failures.append("radical bracket: prod(x_j) > rad(n) * X^eps")
         if r**q > w**q * Xp:  # rad(n) <= prod(x_j) * X^eps

@@ -2,21 +2,22 @@
 falsification search for the 0.66 exponent threshold.
 
 The feasible region lives in the space of ExponentConfigurations.  Its
-constraints are the rows of one table, ROWS: each row is a linear form in
-the entry sums T_v and the weighted sums W_v = sum(i * v_i), a non-strict
-sense, and a right-hand side in (delta, epsilon).  The rows are C1-C4
-(weighted sums, pairwise totals, grand total, each total), and
-feasibility means every row holds.  The paper's R1-R3, the totals
-restated as deviations from 1/3, are not rows: R1 follows from C4, R2 is
-C2, R3-upper follows from the sum of the C2 rows when epsilon <= 2/3, and
-R3-lower (T < 1 + delta, strict) follows from C3 when epsilon > 0; the
-case catalog replays their constants.  check_constraints evaluates every
-row exactly, summing in integers on the configuration's grid; the sampler
-rounds the rows inward onto an integer lattice (entries are multiples of
-1/scale) so window membership is plain integer comparison and results are
-reproducible bit for bit.  sample_feasible and maximize_nu put every
-query through one rule, _region, which refuses what is invalid and
-decides whether the region is empty.
+constraints are the rows of one table, ROWS: each row sums some of the
+entry sums T_v and weighted sums W_v = sum(i * v_i), named by position,
+and bounds that sum from below or above (never strictly) by a right-hand
+side in (delta, epsilon).  The rows are C1-C4 (weighted sums, pairwise
+totals, grand total, each total), and feasibility means every row holds.
+The paper's R1-R3, the totals restated as deviations from 1/3, are not
+rows: R1 follows from C4, R2 is C2, R3-upper follows from the sum of the
+C2 rows when epsilon <= 2/3, and R3-lower (T < 1 + delta, strict) follows
+from C3 when epsilon > 0; the case catalog replays their constants.  One
+pass, _row_sides, sums every row's left side in integers; check_constraints
+compares it exactly with each rhs on the configuration's grid, and the
+sampler with each rhs rounded inward onto an integer lattice (entries are
+multiples of 1/scale), so window membership is plain integer comparison
+and results are reproducible bit for bit.  sample_feasible and maximize_nu
+put every query through one rule, _region, which refuses what is invalid
+and decides whether the region is empty.
 
 maximize_nu is a falsification search, not a proof: it samples the region
 (including targeted corner generators near the tight boundary structures),
@@ -32,10 +33,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import ceil, floor, lcm
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bounds import (
     VECTOR_NAMES,
@@ -61,50 +62,44 @@ A3_HINGE = F(8, 25)
 
 # --- the constraint table ----------------------------------------------------
 
-SUM, WEIGHTED = "sum", "weighted"
-
 
 @dataclass(frozen=True)
 class Row:
-    """One linear inequality: the terms named by coeffs, compared by sense
-    (">=" or "<=") with rhs(delta, epsilon).  coeffs holds one entry per
-    vector (a, b, c): None, SUM (T_v) or WEIGHTED (W_v)."""
+    """One non-strict linear inequality: the sum of the terms at `terms`,
+    positions in (T_a, T_b, T_c, W_a, W_b, W_c), is >= rhs(delta, epsilon)
+    when `lower` holds and <= it otherwise."""
 
     name: str
-    coeffs: tuple[str | None, ...]
-    sense: str
+    terms: tuple[int, ...]
+    lower: bool
     rhs: Callable[[Fraction, Fraction], Fraction]
 
-    @cached_property
-    def terms(self) -> tuple[int, ...]:
-        """Positions of the row's terms in (T_a, T_b, T_c, W_a, W_b, W_c)."""
-        return tuple(i + 3 * (k == WEIGHTED) for i, k in enumerate(self.coeffs) if k)
 
-
-def _rows(family: str, kind: str, groups: Sequence[str], *sides) -> list[Row]:
-    """For each group of vectors (like "ab") and each (side, sense, rhs), the
-    row family-group-side over the group's terms of the given kind."""
+def _rows(family: str, first: int, groups: Sequence[str], *sides) -> list[Row]:
+    """For each group of vectors (like "ab") and each (side, lower, rhs), the
+    row family-group-side over the group's T_v (first 0) or W_v (first 3)."""
     return [
         Row("-".join(filter(None, (family, g, side))),
-            tuple(kind if v in g else None for v in VECTOR_NAMES), sense, rhs)
+            tuple(first + i for i, v in enumerate(VECTOR_NAMES) if v in g),
+            lower, rhs)
         for g in groups
-        for side, sense, rhs in sides
+        for side, lower, rhs in sides
     ]
 
 
 ROWS: tuple[Row, ...] = (
     # C1: W_a <= 1, W_b <= 1, 1 - eps^2 <= W_c <= 1
-    *_rows("C1-weighted", WEIGHTED, "ab", ("", "<=", lambda dl, ep: F(1))),
-    *_rows("C1-weighted", WEIGHTED, "c", ("upper", "<=", lambda dl, ep: F(1)),
-           ("lower", ">=", lambda dl, ep: 1 - ep * ep)),
+    *_rows("C1-weighted", 3, "ab", ("", False, lambda dl, ep: F(1))),
+    *_rows("C1-weighted", 3, "c", ("upper", False, lambda dl, ep: F(1)),
+           ("lower", True, lambda dl, ep: 1 - ep * ep)),
     # C2: T_u + T_v >= 0.66 - eps^2 for each pair
-    *_rows("C2", SUM, ("ab", "ac", "bc"),
-           ("", ">=", lambda dl, ep: F(33, 50) - ep * ep)),
+    *_rows("C2", 0, ("ab", "ac", "bc"),
+           ("", True, lambda dl, ep: F(33, 50) - ep * ep)),
     # C3: T_a + T_b + T_c <= 1 + delta - eps
-    Row("C3-grand-total", (SUM,) * 3, "<=", lambda dl, ep: 1 + dl - ep),
+    Row("C3-grand-total", (0, 1, 2), False, lambda dl, ep: 1 + dl - ep),
     # C4: 0.32 - delta <= T_v <= 0.34 + delta - eps/2
-    *_rows("C4", SUM, "abc", ("lower", ">=", lambda dl, ep: F(8, 25) - dl),
-           ("upper", "<=", lambda dl, ep: F(17, 50) + dl - ep / 2)),
+    *_rows("C4", 0, "abc", ("lower", True, lambda dl, ep: F(8, 25) - dl),
+           ("upper", False, lambda dl, ep: F(17, 50) + dl - ep / 2)),
 )
 
 
@@ -116,6 +111,13 @@ def _row_bounds(delta: Fraction, epsilon: Fraction) -> tuple[Fraction, ...]:
 
 def _weighted(vec: Sequence) -> int | Fraction:
     return sum(i * x for i, x in enumerate(vec, start=1))
+
+
+def _row_sides(vecs) -> Iterator[int]:
+    """The left side of every row of ROWS, in order, for integer vectors;
+    lazily, so a caller may stop at the first row that fails."""
+    vals = (*map(sum, vecs), *map(_weighted, vecs))
+    return (sum(map(vals.__getitem__, row.terms)) for row in ROWS)
 
 
 @dataclass(frozen=True)
@@ -149,13 +151,12 @@ def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
     """Evaluate every row of ROWS exactly: each lhs is summed in integers
     over cfg.grid's scale, and each slack is one Fraction."""
     vecs, _, scale = cfg.grid
-    vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
     recs = []
-    for row, rhs in zip(ROWS, _row_bounds(cfg.delta, cfg.epsilon)):
-        lhs = sum(vals[i] for i in row.terms)
+    sides = _row_sides(vecs)
+    for row, lhs, rhs in zip(ROWS, sides, _row_bounds(cfg.delta, cfg.epsilon)):
         # lhs / scale - rhs over the common denominator scale * rhs.denominator
         gap = lhs * rhs.denominator - rhs.numerator * scale
-        if row.sense == "<=":
+        if not row.lower:
             gap = -gap
         recs.append(ConstraintRecord(
             row.name, gap >= 0, Fraction(gap, scale * rhs.denominator)))
@@ -167,11 +168,11 @@ def check_constraints(cfg: ExponentConfiguration) -> ConstraintReport:
 
 @dataclass(frozen=True)
 class _Windows:
-    """The rows on the lattice: `rows` holds (terms, is_lower, bound) per
-    row, and the named fields are the bounds the generators read."""
+    """The rows on the lattice: `bounds` holds each row's rounded bound in
+    ROWS order, and the named fields are the bounds the generators read."""
 
     scale: int
-    rows: tuple[tuple[tuple[int, ...], bool, int], ...]
+    bounds: tuple[int, ...]
     tot_lo: int
     tot_hi: int
     pair_lo: int
@@ -195,28 +196,19 @@ def _windows_for(delta: Fraction, epsilon: Fraction, grid: int | None) -> _Windo
     scale = lcm(BASE_GRID, *(r.denominator for r in rhs)) if grid is None else grid
     # each bound rounded inward (no row is strict): an integer lhs meets
     # the rounded bound iff it meets the rhs
-    bound = {
-        row.name: ceil(x * scale) if row.sense == ">=" else floor(x * scale)
-        for row, x in zip(ROWS, rhs)
-    }
-    return _Windows(
-        scale=scale,
-        rows=tuple((r.terms, r.sense == ">=", bound[r.name]) for r in ROWS),
-        tot_lo=bound["C4-a-lower"],
-        tot_hi=bound["C4-a-upper"],
-        pair_lo=bound["C2-ab"],
-        grand_hi=bound["C3-grand-total"],
-        wc_lo=bound["C1-weighted-c-lower"],
-        w_hi=bound["C1-weighted-a"],
-    )
+    bounds = [ceil(x * scale) if row.lower else floor(x * scale)
+              for row, x in zip(ROWS, rhs)]
+    bound = dict(zip((row.name for row in ROWS), bounds))
+    # the named fields, in _Windows order
+    return _Windows(scale, tuple(bounds), *(bound[name] for name in (
+        "C4-a-lower", "C4-a-upper", "C2-ab", "C3-grand-total",
+        "C1-weighted-c-lower", "C1-weighted-a")))
 
 
 def _vectors_feasible(win: _Windows, vecs) -> bool:
     """Full integer feasibility re-check (used after hill-climb moves)."""
-    vals = (*map(sum, vecs), *map(_weighted, vecs))  # see Row.terms
-    for terms, is_lower, bound in win.rows:
-        lhs = sum(vals[i] for i in terms)
-        if lhs < bound if is_lower else lhs > bound:
+    for row, lhs, bound in zip(ROWS, _row_sides(vecs), win.bounds):
+        if lhs < bound if row.lower else lhs > bound:
             return False
     return True
 
@@ -410,9 +402,10 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
         trip = _config_with_s1s2(win, d, s1u, s2u, bits)
         if trip is not None:
             out.append(trip)
-    # a_3 pinned at 0.32: the S1/S2 hinge
+    # a_3 pinned at 0.32, the S1/S2 hinge, unless 0.32 lies above the C4
+    # totals window (epsilon > 0.04 + 2 delta)
     a3 = A3_HINGE * scale
-    if a3.denominator == 1:
+    if a3.denominator == 1 and a3.numerator <= win.tot_hi:
         a3u = a3.numerator
         for _ in range(8):
             ta = _randint(bits, max(win.tot_lo, a3u), win.tot_hi)
@@ -435,14 +428,8 @@ def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
 
 
 def _to_config(vecs, scale: int, delta: Fraction, epsilon: Fraction, d: int):
-    return ExponentConfiguration(
-        d=d,
-        a=tuple(F(x, scale) for x in vecs[0]),
-        b=tuple(F(x, scale) for x in vecs[1]),
-        c=tuple(F(x, scale) for x in vecs[2]),
-        delta=delta,
-        epsilon=epsilon,
-    )
+    a, b, c = (tuple(F(x, scale) for x in v) for v in vecs)
+    return ExponentConfiguration(d=d, a=a, b=b, c=c, delta=delta, epsilon=epsilon)
 
 
 def _region(d: int, delta: Fraction, epsilon: Fraction, grid: int | None):

@@ -140,6 +140,56 @@ def test_count_saturated_exponent_counts_as_its_saturation_point(capsys, argv,
         assert got["query"].replace(given, same) == want["query"]
 
 
+_HUGE = "1000000000000"
+_NEAR_1 = "999999999999/1000000000000"
+
+
+# Left out: `count nlambda --x 100000000 --strategy ab` still allocates about
+# 1.2 GB over two minutes before its budget refusal (ROADMAP item 7).
+@pytest.mark.parametrize("argv, code, outcome", [
+    (("verify", "region", "--d", "6", "--delta", "4/25", "--epsilon", "2/5",
+      "--samples", "200"), 0, "ok"),
+    (("verify", "region", "--d", "6", "--delta", "1/1000", "--epsilon",
+      "43/1000", "--samples", "200"), 0, "region-empty"),
+    (("count", "ternary", "--exponents", f"{_HUGE},1,1", "--coefficients",
+      "1,1,-1", "--limits", "2,2,2"), 2, "budget-exceeded"),
+    (("count", "bd", "--spec", {"d": 1, "c": [3, 1, 1], "X": ["2"], "Y": ["2"],
+                                "Z": ["4"], "A": _HUGE}), 2, "budget-exceeded"),
+    (("count", "bd", "--spec", {"d": 1, "c": [3, 1, 1], "X": [_HUGE],
+                                "Y": ["2"], "Z": ["4"]}), 2, "budget-exceeded"),
+    (("count", "nlambda", "--x", "20", "--lambda", _NEAR_1), 2, "budget-exceeded"),
+    (("count", "debruijn", "--x", "10", "--lambda", _NEAR_1), 2, "budget-exceeded"),
+    (("count", "s", "--x", "20", "--alpha", _NEAR_1, "--beta", "1", "--gamma",
+      "1", "--star"), 2, "budget-exceeded"),
+    (("count", "s", "--x", _HUGE, "--alpha", "1", "--beta", "1", "--gamma",
+      "1"), 2, "budget-exceeded"),
+    (("reduce-triple", "--a", "1", "--b", "2", "--c", "3", "--x", "3",
+      "--epsilon", _NEAR_1), 2, "budget-exceeded"),
+    (("factorize", str(2**89 - 1)), 2, "budget-exceeded"),
+], ids=["region-hinge", "region-c2-empty", "ternary-exponent", "bd-A",
+        "bd-anchor", "nlambda", "debruijn", "s-star", "s-huge-x",
+        "reduce-triple", "factorize-2^89-1"])
+def test_cli_fuzz_answers_or_refuses_within_budget(tmp_path, argv, code, outcome):
+    # each input answers or is refused in a child capped at 512 MB and 10 s:
+    # one JSON document on stdout (an error object on exit 2), no traceback
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            arg, doc = tmp_path / "spec.json", arg
+            arg.write_text(json.dumps(doc))
+        args.append(str(arg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit", *args],
+        capture_output=True, text=True, env=_child_env(), timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr, proc.stderr[-500:]
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == code
+    assert (doc["error"]["kind"] if code == 2 else doc["outcome"]) == outcome
+
+
 def test_count_s_csv(capsys):
     code, out = run(capsys, "count", "s", "--x", "20", "--alpha", "1",
                     "--beta", "1", "--gamma", "1", "--format", "csv")

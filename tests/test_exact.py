@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abckit.exact import (
+    POWER_BITS_CAP,
+    check_power,
     cmp_pow,
     dyadic_range,
     exact_root,
@@ -14,6 +16,7 @@ from abckit.exact import (
     pow_leq,
     rational_pow_leq,
 )
+from abckit.radicals import BudgetExceeded
 
 
 def test_parse_rational():
@@ -56,6 +59,30 @@ def test_rational_pow_leq():
 def test_iroot_matches_definition(n, k):
     r = iroot(n, k)
     assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_below_2_to_the_k_is_1_at_once():
+    # 2 <= n < 2**k: no Newton step, so k = 10**12 does not build x**(k - 1)
+    assert iroot(5, 10**12) == 1
+    assert iroot(2**12 - 1, 12) == 1 and iroot(2**12, 12) == 2
+
+
+def test_powers_past_the_cap_are_refused_before_they_are_built():
+    check_power("op", 2, POWER_BITS_CAP // 2)  # 2 bits per factor: at the cap
+    check_power("op", 1, 10**12)  # 1**e, 0**e and (-1)**e cost nothing
+    check_power("op", -1, 10**12)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_power("op", 3, POWER_BITS_CAP // 2 + 1)
+    assert (exc.value.operation, exc.value.budget) == ("op", POWER_BITS_CAP)
+    assert str(exc.value) == (f"op: a power of {POWER_BITS_CAP + 2} bits exceeds "
+                              f"the cap {POWER_BITS_CAP}")
+    # every public comparison sizes its powers first
+    for call in (lambda: cmp_pow(3, 10**12, 2, 1),
+                 lambda: cmp_pow(Fraction(1, 3), 10**12, 2, 1),
+                 lambda: pow_leq(2, 1, 3, 10**12),
+                 lambda: rational_pow_leq(3, Fraction(10**12, 10**12 + 1), 2)):
+        with pytest.raises(BudgetExceeded, match="exceeds the cap"):
+            call()
 
 
 def test_exact_root():

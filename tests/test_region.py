@@ -61,8 +61,9 @@ def test_constraints_frozen_slacks():
         "C4-a-lower", "C4-a-upper", "C4-b-lower", "C4-b-upper",
         "C4-c-lower", "C4-c-upper",
     ]
-    # _windows_for rounds each bound inward, exact only for non-strict rows
-    assert {row.sense for row in ROWS} == {">=", "<="}
+    # every row is a lower or an upper bound (none is strict), so
+    # _windows_for rounds each bound inward exactly
+    assert {row.lower for row in ROWS} == {True, False}
 
 
 def test_constraints_catch_violation():
@@ -214,6 +215,24 @@ def test_sampler_thin_region_returns_what_it_found():
     # a warning, not an error
     with pytest.warns(UserWarning, match="sampler returned 0/3"):
         assert sample_feasible(3, F(0), F(0), 3, seed=0, grid=25) == []
+
+
+def test_hinge_start_is_skipped_above_the_totals_window():
+    # epsilon > 0.04 + 2 delta puts a_3 = 0.32 above the C4 totals window,
+    # so the a_3-hinge corner start has no total to draw; the other starts
+    # and the draws run as before
+    rep = maximize_nu(6, F(4, 25), F(2, 5), budget=200, seed=0)
+    assert (rep.outcome, rep.feasible, rep.maximum) == ("ok", 11, F(30161, 60000))
+    assert check_constraints(rep.argmax).feasible
+    with pytest.warns(UserWarning, match="sampler returned 1/3"):  # thin
+        (cfg,) = sample_feasible(6, F(4, 25), F(2, 5), 3, seed=0)
+    assert check_constraints(cfg).feasible
+    # empty by C2 against C4 (0.3195 + 0.3195 < 0.66 - epsilon^2): the
+    # search reports region-empty, and the sampler finds nothing
+    rep = maximize_nu(6, MILLI, F(43, 1000), budget=200, seed=0)
+    assert (rep.outcome, rep.feasible, rep.maximum) == ("region-empty", 0, None)
+    with pytest.warns(UserWarning, match="sampler returned 0/3"):
+        assert sample_feasible(6, MILLI, F(43, 1000), 3, seed=0) == []
 
 
 def _hill_moves(vecs, steps):
