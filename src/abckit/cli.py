@@ -227,7 +227,9 @@ def _emit_count(args, oracle, *params, extra=dict, **options) -> int:
     """Run oracle(*params, **options) at the strategy and budget of args and
     print its CountResult, plus the fields extra() returns, on stdout; the
     wall time of the call goes to stderr only, so stdout stays
-    byte-identical across runs."""
+    byte-identical across runs.  extra() runs first, so a query it refuses
+    is refused before the count."""
+    fields = extra()
     t0 = time.perf_counter()
     result = oracle(*params, **options, strategy=args.strategy, budget=_budget(args))
     sys.stderr.write(
@@ -239,7 +241,7 @@ def _emit_count(args, oracle, *params, extra=dict, **options) -> int:
         "query": result.query,
         "count": result.count,
         "strategy": result.strategy,
-        **extra(),
+        **fields,
     }
     _emit(args.format, payload, ["query", "count", "strategy"],
           [[result.query, result.count, result.strategy]])

@@ -34,12 +34,7 @@ from operator import and_, mul
 
 from .exact import (check_power, cmp_pow, dyadic_range, exact_root,
                     format_rational, iroot)
-from .radicals import (
-    BudgetExceeded,
-    build_radical_table,
-    factorize,
-    radical_segments,
-)
+from .radicals import BudgetExceeded, build_radical_table, radical_segments
 
 DEFAULT_BUDGET = 10**9
 
@@ -218,7 +213,10 @@ def count_exceptional_triples(
       prefilter first: since r >= 2**(bitlen(r) - 1), a pair with
       rad a * rad b <= t has bitlen(rad a) + bitlen(rad b) <= bitlen(t) + 1.
       That sum is formed for a whole row at once, one byte per pair, and
-      only the pairs it keeps get the exact radical and gcd tests.
+      only the pairs it keeps get the exact radical and gcd tests.  A row
+      whose bound bitlen(t) + 1 reaches 2 * bitlen(c - 1), where the
+      prefilter would keep every pair (both radicals are < c), skips it
+      and tests every pair, as every row does at lam = 3.
     * 'ab' enumerates by small radical, over its own multiplicative
       distinct-prime sieve.  Since min(rad a, rad b)**2 <= rad a * rad b,
       every counted triple has a member n < c with
@@ -252,6 +250,15 @@ def count_exceptional_triples(
     return CountResult(query=query, count=count, strategy=strategy)
 
 
+def _ones(row: bytes):
+    """The indices a >= 1 with row[a] == 1, ascending."""
+    find = row.find
+    a = find(1, 1)
+    while a > 0:
+        yield a
+        a = find(1, a + 1)
+
+
 def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
     """Every unordered pair {a, c - a}: rad(a) * rad(b) against one integer
     threshold per c, behind an exact prefilter on bit lengths."""
@@ -267,20 +274,23 @@ def _exceptional_ca(X: int, p: int, q: int, ordered: bool) -> int:
         if lim == 0:
             continue
         hi = c // 2 + 1
-        # byte a of the sum is bl(rad a) + bl(rad(c - a)) for a < hi (byte 0
-        # pairs 0 with c and is never read).  Since r >= 2**(bl(r) - 1), a
-        # pair with rad a * rad b <= lim has a byte sum <= bl(lim) + 1.
-        s = int.from_bytes(bl[:hi], "big") + int.from_bytes(bl[c:c - hi:-1], "big")
-        t = min(lim.bit_length() + 1, 254)  # byte sums never exceed 254
-        keep = keeps.get(t) or keeps.setdefault(t, b"\x01" * (t + 1) + bytes(255 - t))
-        find = s.to_bytes(hi, "big").translate(keep).find
+        # Since r >= 2**(bl(r) - 1), a pair with rad a * rad b <= lim has
+        # bl(rad a) + bl(rad b) <= t.  Both radicals are < c, so once
+        # t >= 2 * bl(c - 1) every pair of the row passes that.
+        t = lim.bit_length() + 1
+        if t >= 2 * (c - 1).bit_length():
+            survivors = range(1, hi)
+        else:
+            # byte a of the sum is bl(rad a) + bl(rad(c - a)) for a < hi
+            # (byte 0 pairs 0 with c and is never read)
+            s = int.from_bytes(bl[:hi], "big") + int.from_bytes(bl[c:c - hi:-1], "big")
+            keep = keeps.get(t) or keeps.setdefault(t, b"\x01" * (t + 1) + bytes(255 - t))
+            survivors = _ones(s.to_bytes(hi, "big").translate(keep))
         # a, b, c pairwise coprime, so rad(abc) splits multiplicatively
         k = 0
-        a = find(1, 1)
-        while a > 0:
+        for a in survivors:
             if rad_of[a] * rad_of[c - a] <= lim and gcd(a, c) == 1:
                 k += 1
-            a = find(1, a + 1)
         # a = c - a is coprime to c only in (1, 1, 2), its own mirror
         count += 2 * k - (c == 2 and k) if ordered else k
     return count
@@ -366,8 +376,11 @@ def count_s(
     plain form, and in the localized form two integer roots per exponent,
     iroot(X**p, q) < rad(n) <= iroot(2**q * X**p, q).  Every candidate pair
     is still tested, against those three tables, and gcd runs only on the
-    pairs that pass.  'ca' sweeps c, then a, over the sieve table; 'ab'
-    sweeps a, then b, over a plain trial-division radical.  Negative
+    pairs that pass.  'ca' sweeps c over the sieve table and tests a whole
+    row at once: the a- and the reversed b-table are each packed once as one
+    byte per n in an integer, so one shift and one AND give, for every a,
+    whether a and c - a pass.  'ab' keeps the per-element form: it sweeps
+    a, then b, pair by pair over a plain trial-division radical.  Negative
     exponents are refused.
 
     Every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
@@ -400,9 +413,14 @@ def count_s(
     if strategy == "ca":
         rad_of = build_radical_table(X)
         ok_a, ok_b, ok_c = (member_tests(rad_of, e) for e in exps)
+        # one byte per n: byte a of A is ok_a[a], byte i of B is ok_b[X - i]
+        A = int.from_bytes(bytes(ok_a), "little")
+        B = int.from_bytes(bytes(ok_b[::-1]), "little")
         for c in compress(range(c_lo, X + 1), ok_c[c_lo:]):
-            # a runs up from 1 while b = c - a runs down from c - 1
-            hits = compress(range(1, c), map(and_, ok_a[1:c], ok_b[c - 1:0:-1]))
+            # byte a of the row is ok_a[a] and ok_b[c - a]; bytes 0 and c are
+            # 0, since entry 0 never passes
+            row = (A & B >> 8 * (X - c)).to_bytes(c + 1, "little")
+            hits = compress(range(c + 1), row)
             count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
         rads = [0] + [_trial_radical(n) for n in range(1, X + 1)]
@@ -435,9 +453,13 @@ def count_radical_bounded(
     1..x through the sieve's blocks (radicals.radical_segments), testing
     every entry against t, whose bracket t**q <= x**p < (t + 1)**q it
     checks itself; it holds one block, never the table, so its memory is
-    O(sqrt(x)) words plus one block.  'radical-first' enumerates squarefree
-    radicals r <= t and counts, for each, the n <= x whose radical is
-    exactly r.
+    O(sqrt(x)) words plus one block.  'radical-first' walks the squarefree
+    r <= t depth first, as products of ascending primes, which it reads
+    from an Eratosthenes sieve of its own, t + 1 bytes (one per integer
+    <= t).  At each r it counts the n <= x of radical exactly r, n = r * m
+    with m built from the primes of r, spreading the exponents over the
+    largest prime first.  Its budget (t + x) is checked before the sieve
+    is built.
 
     Since rad(n) <= n <= x, every lam >= 1 counts as lam = 1, and a
     lam = p/q with 2 * p * bitlen(x) <= q counts as 0, and a power past the
@@ -459,27 +481,37 @@ def count_radical_bounded(
         count = sum(sum(map(t.__ge__, block)) for _, block in radical_segments(x))
     else:
         # largest integer r with r^q <= x^p
-        threshold = iroot(x**p, q)
-        check_budget("count_radical_bounded", threshold + x, budget)
-        count = 0
-        for r in range(1, threshold + 1):
-            fac = factorize(r)
-            if any(e > 1 for e in fac.values()):
-                continue
-            primes = sorted(fac)
+        t = iroot(x**p, q)
+        check_budget("count_radical_bounded", t + x, budget)
+        sieve = bytearray([1]) * (t + 1)  # sieve[n]: n is prime; t >= 1
+        sieve[:2] = bytes(2)
+        for n in range(2, isqrt(t) + 1):
+            if sieve[n]:
+                sieve[n * n::n] = bytes(len(range(n * n, t + 1, n)))
+        primes: list[int] = []  # those of r, ascending
 
-            def spread(i: int, value: int) -> int:
-                # n <= x whose radical is exactly r: raise each prime to >= 1
-                if i == len(primes):
-                    return 1
-                total = 0
-                v = value * primes[i]
-                while v <= x:
-                    total += spread(i + 1, v)
-                    v *= primes[i]
-                return total
+        def spread(k: int, m: int) -> int:
+            # #{n <= m built from primes[:k]}, largest prime first
+            p = primes[k - 1]
+            total = 0
+            while m:
+                total += spread(k - 1, m) if k > 1 else 1
+                m //= p
+            return total
 
-            count += spread(0, 1)
+        def walk(r: int, p: int) -> int:
+            # r squarefree, with largest prime p: the n <= x of radical r,
+            # r * m with m built from the primes of r, then r's extensions
+            total = spread(len(primes), x // r) if primes else 1
+            p = sieve.find(1, p + 1)
+            while 0 < p <= t // r:
+                primes.append(p)
+                total += walk(r * p, p)
+                primes.pop()
+                p = sieve.find(1, p + 1)
+            return total
+
+        count = walk(1, 1)
     query = f"count_radical_bounded(x={x}, lam={format_rational(lam)})"
     return CountResult(query=query, count=count, strategy=strategy)
 

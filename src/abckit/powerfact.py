@@ -104,7 +104,8 @@ def power_factorize(n: int, X: int, epsilon: Fraction) -> PowerFactorization:
 
     Requires 1 <= n <= X and epsilon in (0, 1/2].
     """
-    eps = Fraction(epsilon)
+    # Fraction(eps) of a Fraction costs a sixth of a call: reuse it
+    eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
     if not 0 < 2 * p <= q:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {eps}")

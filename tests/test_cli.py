@@ -92,6 +92,20 @@ def test_count_debruijn(capsys):
     assert doc["count"] == 30
 
 
+def test_count_debruijn_radical_first_refuses_before_its_sieve(capsys):
+    # t = 10^8 would be a 100 MB sieve; t + x is refused before it is built
+    tracemalloc.start()
+    try:
+        code, doc = run_json(capsys, "count", "debruijn", "--x", str(10**12),
+                             "--lambda", "2/3", "--strategy", "radical-first")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and doc["error"]["kind"] == "budget-exceeded"
+    assert doc["error"]["estimate"] == 10**8 + 10**12
+    assert peak < 10**6
+
+
 def _child_env() -> dict:
     env = dict(os.environ)
     src = str(Path(abckit.__file__).resolve().parents[1])
@@ -232,6 +246,21 @@ def test_count_bd_spec_file(capsys, tmp_path):
         {"d": 1, "c": [1, 1, 1], "X": ["2"], "Y": ["2"], "Z": ["4"]}))
     _, doc2 = run_json(capsys, "count", "bd", "--spec", str(spec2))
     assert doc2["count"] == 2
+
+
+def test_count_bd_refuses_a_wide_A_before_counting(capsys, tmp_path, monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("count_bd ran")
+
+    monkeypatch.setattr(cli, "count_bd", no_count)
+    spec = tmp_path / "box.json"
+    spec.write_text(json.dumps({"d": 1, "c": [3, 1, 1], "X": ["2"], "Y": ["2"],
+                                "Z": ["4"], "A": "1000000000000"}))
+    code = main(["count", "bd", "--spec", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["kind"] == "budget-exceeded"
+    assert "elapsed" not in captured.err
 
 
 def test_sieve_formats(capsys):

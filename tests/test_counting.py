@@ -216,12 +216,16 @@ def test_s_frozen():
 
 
 def test_s_strategies_agree():
-    for star in (False, True):
-        for X in (20, 41):
-            args = (X, F(1, 2), F(2, 3), F(9, 10))
-            a = count_s(*args, star=star, strategy="ca")
-            b = count_s(*args, star=star, strategy="ab")
-            assert a.count == b.count, (X, star)
+    # 'ca' tests a row at once, 'ab' pair by pair: sparse and dense triples,
+    # exponents 0 and 1 among them, and the smallest X
+    triples = ((F(1, 2), F(2, 3), F(9, 10)), (F(1, 3), F(1, 2), F(2, 3)),
+               (F(0), F(1), F(1, 2)), (F(1), F(1, 2), F(0)), (F(1), F(1), F(1)),
+               (F(0), F(0), F(0)))
+    for X in (1, 2, 3, 20, 41, 97, 200):
+        for exps, star in product(triples, (False, True)):
+            a = count_s(X, *exps, star=star, strategy="ca")
+            b = count_s(X, *exps, star=star, strategy="ab")
+            assert a.count == b.count, (X, exps, star)
 
 
 def _s_by_definition(X, alpha, beta, gamma, star):
@@ -273,8 +277,10 @@ def test_radical_bounded_frozen():
 
 
 def test_radical_bounded_strategies_agree():
-    for x in (50, 200, 500):
-        for lam in (F(1, 3), F(1, 2), F(7, 10)):
+    # every x <= 300, then a stride and a few round values up to 2000
+    xs = sorted({*range(1, 301), *range(301, 2001, 23), 500, 997, 1000, 1024, 2000})
+    for x in xs:
+        for lam in (F(0), F(1, 3), F(1, 2), F(2, 3), F(7, 10), F(3, 4), F(1)):
             a = count_radical_bounded(x, lam, strategy="scan")
             b = count_radical_bounded(x, lam, strategy="radical-first")
             assert a.count == b.count, (x, lam)
