@@ -523,10 +523,11 @@ def _ranges(anchors: tuple[Fraction, ...]) -> list[range]:
     return [range(lo, hi + 1) for lo, hi in map(dyadic_range, anchors)]
 
 
-def _family(anchors: tuple[Fraction, ...]) -> list[tuple[int, int]]:
-    """All tuples in the dyadic box, reduced to (prod v_j^j, prod v_j)."""
+def _family(ranges: list[range]) -> list[tuple[int, int]]:
+    """All tuples in the box of the given ranges, reduced to
+    (prod v_j^j, prod v_j)."""
     return [(prod(v**j for j, v in enumerate(tup, start=1)), prod(tup))
-            for tup in product(*_ranges(anchors))]
+            for tup in product(*ranges)]
 
 
 def count_bd(
@@ -544,9 +545,9 @@ def count_bd(
     """
     if strategy not in ("nested", "mitm"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    rx, ry, rz = boxes = [_ranges(a) for a in (spec.X, spec.Y, spec.Z)]
     # range sizes by subtraction: len() of a range past sys.maxsize overflows
-    nx, ny, nz = (prod(max(0, r.stop - r.start) for r in _ranges(a))
-                  for a in (spec.X, spec.Y, spec.Z))
+    nx, ny, nz = (prod(max(0, r.stop - r.start) for r in rs) for rs in boxes)
     est = nx * ny * nz if strategy == "nested" else nz + nx * ny
     check_budget("count_bd", est, budget)
     c1, c2, c3 = spec.coefficients
@@ -559,7 +560,7 @@ def count_bd(
     if min(nx, ny, nz) == 0:
         return CountResult(query=query, count=0, strategy=strategy)
     if strategy == "nested":
-        fx, fy, fz = _family(spec.X), _family(spec.Y), _family(spec.Z)
+        fx, fy, fz = _family(rx), _family(ry), _family(rz)
         for px, sx in fx:
             for py, sy in fy:
                 lhs = c1 * px + c2 * py
@@ -568,9 +569,9 @@ def count_bd(
                         count += 1
     else:
         by_power: dict[int, list[int]] = {}
-        for pz, sz in _family(spec.Z):
+        for pz, sz in _family(rz):
             by_power.setdefault(c3 * pz, []).append(c3 * sz)
-        fx, fy = _family(spec.X), _family(spec.Y)
+        fx, fy = _family(rx), _family(ry)
         for px, sx in fx:
             u = c1 * px
             g1 = c1 * sx

@@ -26,6 +26,7 @@ from abckit.bounds import (
     fast_scale,
     fourier_bound,
     geometry_bound,
+    resolve_methods,
     thue_bound,
     trivial_bound,
 )
@@ -187,6 +188,10 @@ def test_geometry_branch_bound_equals_exhaustive():
     configs = [_random_cfg(rng) for _ in range(250)]
     tail_rng = random.Random(8)
     configs += [_tail_shaped_cfg(tail_rng, d) for d in (2, 3, 4, 5) for _ in range(15)]
+    configs += [_tail_shaped_cfg(tail_rng, d) for d in (6, 7, 8) for _ in range(4)]
+    # the region's own shapes, where its maxima sit
+    for d in (6, 8):
+        configs += sample_feasible(d, F(1, 1000), F(1, 1000), 4, seed=d)
     for cfg in configs:
         bb = geometry_bound(cfg, mode="branch-and-bound")
         ex = geometry_bound(cfg, mode="exhaustive")
@@ -500,6 +505,15 @@ def test_best_bound_method_lists():
         best_bound(cfg, methods=("trivial", "nope"))
 
 
+def test_resolve_methods_refuses_a_repeated_name():
+    assert resolve_methods(["geometry", "trivial"]) == ("geometry", "trivial")
+    for methods in (("geometry", "geometry"), ("trivial", "thue", "trivial")):
+        with pytest.raises(ValueError, match="listed twice"):
+            resolve_methods(methods)
+        with pytest.raises(ValueError, match="listed twice"):
+            best_bound(zeros(3), methods=methods)
+
+
 def test_best_bound_calls_every_method_through_its_module_attribute(monkeypatch):
     import abckit.bounds as B
 
@@ -703,11 +717,66 @@ def test_fast_best_floor_contract():
     assert below_floor > 150
 
 
+def _triple_loop_cover(entries, target):
+    """The cover minimum by the plain triple loop over (ma, mb, mc): the
+    reference for the meet-in-the-middle enumeration, first minimizer and
+    masks included."""
+    per_vec = []
+    for vec in entries:
+        sums = []
+        n = len(vec)
+        for mask in range(1 << n):
+            w = s = 0
+            m = mask
+            i = 0
+            while m:
+                if m & 1:
+                    w += (i + 1) * vec[i]
+                    s += vec[i]
+                m >>= 1
+                i += 1
+            sums.append((w, s, mask))
+        per_vec.append(sums)
+    best = None
+    best_masks = None
+    for wa, sa, ma in per_vec[0]:
+        for wb, sb, mb in per_vec[1]:
+            wab, sab = wa + wb, sa + sb
+            for wc, sc, mc in per_vec[2]:
+                w = wab + wc
+                val = (w if w > target else target) - (sab + sc)
+                if best is None or val < best:
+                    best, best_masks = val, (ma, mb, mc)
+    return best, best_masks
+
+
+def test_exhaustive_matches_the_triple_loop():
+    rng = random.Random(1974)
+    cases = 0
+    for d, count in ((1, 1500), (2, 1500), (3, 1200), (4, 650), (5, 120), (6, 30)):
+        for _ in range(count):
+            if rng.random() < 0.5:  # tie-heavy
+                entries = tuple(tuple(rng.choice((0, 1, 2)) for _ in range(d))
+                                for _ in range(3))
+            else:
+                entries = tuple(tuple(rng.choice((0, rng.randint(1, 40)))
+                                      for _ in range(d)) for _ in range(3))
+            # a target of 0, exactly the W of some subset triple, or random
+            masks = [rng.getrandbits(d) for _ in range(3)]
+            subset_w = sum(i * vec[i - 1] for vec, mask in zip(entries, masks)
+                           for i in _mask_to_classes(mask))
+            target = rng.choice((0, subset_w, rng.randint(0, 40 * d)))
+            assert _cover_exhaustive(entries, target) == (
+                _triple_loop_cover(entries, target)), (entries, target)
+            cases += 1
+    assert cases >= 5000
+
+
 def test_cover_branch_bound_stop_at():
     rng = random.Random(2718)
     stopped = 0
     for _ in range(300):
-        d = rng.randint(1, 7)
+        d = rng.randint(1, 9)
         entries = tuple(
             tuple(rng.choice((0, rng.randint(1, 40))) for _ in range(d))
             for _ in range(3)

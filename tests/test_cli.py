@@ -773,6 +773,16 @@ def test_exit_2_invalid_argument(capsys):
     assert doc["error"]["kind"] == "invalid-argument"
 
 
+def test_exit_2_repeated_method(capsys):
+    # a method listed twice would run twice per sample and be reported twice
+    code, doc = run_json(capsys, "verify", "region", "--d", "6",
+                         "--delta", "1/1000", "--epsilon", "1/1000",
+                         "--samples", "10", "--methods", "geometry,geometry")
+    assert code == 2
+    assert doc["error"]["kind"] == "invalid-argument"
+    assert "'geometry' is listed twice" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("flags", [
     ("--alpha=-1/2", "--beta", "1", "--gamma", "1"),
     ("--alpha", "1", "--beta=-1", "--gamma", "1", "--star"),
@@ -1000,11 +1010,17 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         ("verify", "region", "--d", "6", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "2000", "--format", "table"),
         0, "4f05c197278d989f82d7edf903ed4cc4f4b6c67bd89d68199ecf668de8c9ad3c"),
-    # d = 3 at epsilon 1/25: a window left to search, but no draw lands in it
+    # d = 3 at epsilon 1/50: a window left to search, but no draw lands in it
     "region-thin-json": (
         ("verify", "region", "--d", "3", "--delta", "0",
+         "--epsilon", "1/50", "--samples", "50"),
+        0, "00d1fff39e10d4ddc18e60bf83982112f306a3397b99731ce5c1c0bc29c66a00"),
+    # d = 3 at epsilon 1/25: C4 totals of at most 8/25 leave every pair
+    # short of C2, so the region is empty before any draw
+    "region-c2-empty-json": (
+        ("verify", "region", "--d", "3", "--delta", "0",
          "--epsilon", "1/25", "--samples", "50"),
-        0, "c9bfe8bdb222c61863072e86cad56ea187999a4c78984afa88af89734d8f8eed"),
+        0, "108f31b692a94c10f0f595408322d11753695550cfbaf0a589529dc42a935481"),
     "region-empty-json": (
         ("verify", "region", "--d", "2", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "10"),

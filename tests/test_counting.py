@@ -329,6 +329,23 @@ def test_bd_strategies_agree():
         assert a.count == b.count, spec
 
 
+def test_bd_reads_each_anchor_range_once(monkeypatch):
+    import abckit.counting as C
+    calls = []
+    real = C.dyadic_range
+
+    def counted(anchor):
+        calls.append(anchor)
+        return real(anchor)
+
+    monkeypatch.setattr(C, "dyadic_range", counted)
+    spec = box(2, (1, 1, 1), (1, 1), (2, 1), (4, 1))
+    for strategy in ("nested", "mitm"):
+        calls.clear()
+        count_bd(spec, strategy=strategy)
+        assert len(calls) == 6, strategy  # one per anchor: d = 2 per family
+
+
 def test_bd_empty_box():
     # (1/3, 2/3] holds no integer
     assert count_bd(box(1, (1, 1, 1), (F(1, 3),), (1,), (1,))).count == 0

@@ -228,11 +228,11 @@ def test_hinge_start_is_skipped_above_the_totals_window():
         (cfg,) = sample_feasible(6, F(4, 25), F(2, 5), 3, seed=0)
     assert check_constraints(cfg).feasible
     # empty by C2 against C4 (0.3195 + 0.3195 < 0.66 - epsilon^2): the
-    # search reports region-empty, and the sampler finds nothing
+    # search reports region-empty, and the sampler refuses with the reason
     rep = maximize_nu(6, MILLI, F(43, 1000), budget=200, seed=0)
     assert (rep.outcome, rep.feasible, rep.maximum) == ("region-empty", 0, None)
-    with pytest.warns(UserWarning, match="sampler returned 0/3"):
-        assert sample_feasible(6, MILLI, F(43, 1000), 3, seed=0) == []
+    with pytest.raises(ValueError, match="C4 totals of at most 639/2000"):
+        sample_feasible(6, MILLI, F(43, 1000), 3, seed=0)
 
 
 def _hill_moves(vecs, steps):
@@ -521,6 +521,8 @@ def test_search_stays_serial_with_a_thread_alive(monkeypatch):
 # --- one rule for both entry points ----------------------------------------------
 
 _C4_EMPTY = "region empty at d=6: the C4 totals window [8/25, 63/200] is empty"
+_C2_EMPTY = ("region empty at d=6: two C4 totals of at most 639/2000 cannot "
+             "reach the C2 pair bound 658151/1000000")
 _CAPACITY_EMPTY = "region empty at d=2: the weighted c-sum cannot reach 1 - eps^2"
 _D2_REFUSED = ("d < 3 is only supported where the weighted-capacity argument "
                "proves the region empty; these slacks are too large")
@@ -528,12 +530,13 @@ _D2_REFUSED = ("d < 3 is only supported where the weighted-capacity argument "
 
 @pytest.mark.parametrize("d, delta, epsilon, kind, message", [
     (6, F(0), F(1, 20), "empty", _C4_EMPTY),
+    (6, MILLI, F(43, 1000), "empty", _C2_EMPTY),
     (2, MILLI, MILLI, "empty", _CAPACITY_EMPTY),
     (2, F(1, 5), MILLI, "refused", _D2_REFUSED),
     (0, MILLI, MILLI, "refused", "d must be >= 1"),
     (6, -MILLI, MILLI, "refused", "delta and epsilon must be non-negative"),
     (6, MILLI, -MILLI, "refused", "delta and epsilon must be non-negative"),
-], ids=["c4-window", "d2-capacity", "d2-large-slack", "d0",
+], ids=["c4-window", "c2-c4", "d2-capacity", "d2-large-slack", "d0",
         "delta-negative", "epsilon-negative"])
 def test_sampler_and_search_share_the_region_rule(d, delta, epsilon, kind, message):
     # an empty region: the search reports it and the sampler raises its
