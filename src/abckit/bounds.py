@@ -22,18 +22,19 @@ class of the second vector; it never exceeds the plain fourier value.
 Each method has one implementation: an integer core that reads the three
 vectors as numerators over a common scale (delta too) and returns the
 exact value as (numerator, denominator) with its minimizing witness (the
-pair / subsets / indices).  Each configuration is put on the grid of its
-own denominators once, as ExponentConfiguration.grid, and keeps it; the
-public evaluators run a core on that grid and return a BoundReport with
-an exact Fraction, and fast_best runs the same cores on a caller's grid
-for bulk search.  Two independent checks stay beside the cores:
+pair / subsets / indices).  One table, _METHODS, pairs each method name
+with its core and its replay.  Each configuration is put on the grid of
+its own denominators once, as ExponentConfiguration.grid, and keeps it;
+the public evaluators run a core on that grid and return a BoundReport
+with an exact Fraction, and fast_best runs the same cores on a caller's
+grid for bulk search.  Two independent checks stay beside the cores:
 evaluate_at replays a defining formula at a witness in integers, over
 the lcm of the configuration's own denominators taken afresh on each
-call (never cfg.grid), and the geometry subset search, by
-branch-and-bound, can be cross-checked by an exact enumeration of every
-subset triple, met in the middle: it sums the subsets of each half of the
-3d items once, at most 2 * 2**(3d/2) of them, and shares no code with the
-search.
+call (never cfg.grid), refusing a witness outside the formula's domain;
+and the geometry subset search, by branch-and-bound, can be
+cross-checked by an exact enumeration of every subset triple, met in the
+middle: it sums the subsets of each half of the 3d items once, at most
+2 * 2**(3d/2) of them, and shares no code with the search.
 
 The geometry search covers the deficit that the free class-1 entries
 leave with items of rate (i - 1)/i, in rate order.  Its completion bound
@@ -75,7 +76,7 @@ VECTOR_NAMES = ("a", "b", "c")
 METHOD_NAMES = ("trivial", "fourier", "geometry", "determinant", "thue")
 EXTENDED_METHOD = "extended-fourier"
 
-EXHAUSTIVE_LIMIT = 8  # most classes geometry_bound(mode="exhaustive") takes
+EXHAUSTIVE_LIMIT = 10  # most classes geometry_bound(mode="exhaustive") takes
 COVER_NODE_CAP = 2 * 10**7  # most steps (nodes plus items scanned) of one cover search
 
 
@@ -86,10 +87,6 @@ class SubsetSearchRefusal(ValueError):
 
 def _rat(value: Rat) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _rat_tuple(values: Iterable[Rat]) -> tuple[Fraction, ...]:
-    return tuple(map(_rat, values))
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ class ExponentConfiguration:
 
     def __post_init__(self):
         for name in VECTOR_NAMES:
-            object.__setattr__(self, name, _rat_tuple(getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(_rat, getattr(self, name))))
         object.__setattr__(self, "delta", _rat(self.delta))
         object.__setattr__(self, "epsilon", _rat(self.epsilon))
         if self.d < 1:
@@ -139,9 +136,6 @@ class ExponentConfiguration:
         if name not in VECTOR_NAMES:
             raise KeyError(f"no vector named {name!r}")
         return getattr(self, name)
-
-    def total(self, name: str) -> Fraction:
-        return sum(self.vector(name), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -477,16 +471,6 @@ def _geometry(vecs, dn, scale, *, exhaustive: bool = False):
     return dn + cover, scale, witness
 
 
-_CORES = {
-    "trivial": _trivial,
-    "fourier": _fourier,
-    "geometry": _geometry,
-    "determinant": _determinant,
-    "thue": _thue,
-    EXTENDED_METHOD: _extended_fourier,
-}
-
-
 # --- canonical evaluators ------------------------------------------------------
 
 
@@ -512,28 +496,28 @@ def fast_scale(cfg: ExponentConfiguration, grid: int) -> tuple:
     return tuple(out), dn
 
 
-def _report(method: str, core, cfg: ExponentConfiguration, **options) -> BoundReport:
-    """Run a core on cfg.grid, the grid of cfg's own denominators, which
-    is computed once per configuration and shared by every evaluator."""
-    num, den, witness = core(*cfg.grid, **options)
+def _report(method: str, cfg: ExponentConfiguration, **options) -> BoundReport:
+    """Run the method's core on cfg.grid, cfg on its own denominators,
+    computed once per configuration and shared by every evaluator."""
+    num, den, witness = _METHODS[method][0](*cfg.grid, **options)
     return BoundReport(method, Fraction(num, den), witness)
 
 
 def trivial_bound(cfg: ExponentConfiguration) -> BoundReport:
     """min over vector pairs of the two entry sums."""
-    return _report("trivial", _trivial, cfg)
+    return _report("trivial", cfg)
 
 
 def fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
     """(1 + delta + sum of entrywise maxima - largest high-class maximum) / 2,
     minimized over vector pairs.  The subtracted term is 0 when d < 2."""
-    return _report("fourier", _fourier, cfg)
+    return _report("fourier", cfg)
 
 
 def extended_fourier_bound(cfg: ExponentConfiguration) -> BoundReport:
     """Fourier variant subtracting half of a pooled divisor class
     sum_{j = 0 mod i} w_j of the second vector; never above plain fourier."""
-    return _report(EXTENDED_METHOD, _extended_fourier, cfg)
+    return _report(EXTENDED_METHOD, cfg)
 
 
 def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
@@ -547,13 +531,13 @@ def determinant_bound(cfg: ExponentConfiguration) -> BoundReport:
     the 2d values 1 + delta - (1 - 1/q) max u - v_q and
     1 + delta - u_p - (1 - 1/p) max v, read in one pass per pair.  The
     witness is the first minimizer over (pair, p, q) in that order."""
-    return _report("determinant", _determinant, cfg)
+    return _report("determinant", cfg)
 
 
 def thue_bound(cfg: ExponentConfiguration) -> BoundReport:
     """1 + delta - (largest pooled class sum_{p | i} (u_i + v_i) over vector
     pairs and p >= 2); just 1 + delta when d < 2."""
-    return _report("thue", _thue, cfg)
+    return _report("thue", cfg)
 
 
 def geometry_bound(
@@ -564,11 +548,12 @@ def geometry_bound(
     W weights each selected entry by its class index; S is the plain sum.
     Both modes return the certified optimum; 'exhaustive' covers all
     2**(3d) subset triples by meeting in the middle, a sort and a walk over
-    the 2**(3d/2) subsets of each half of the items: under 10 ms at d = 8,
-    and about three times longer per further class, so it refuses when
-    d exceeds EXHAUSTIVE_LIMIT (8); branch-and-bound takes any d, but
-    refuses with BudgetExceeded a search that passes COVER_NODE_CAP steps
-    (nodes plus items scanned).
+    the 2**(3d/2) subsets of each half of the items: about 50 ms at
+    d = 10 with every entry nonzero, and about three times longer per
+    further class, so it refuses when d exceeds EXHAUSTIVE_LIMIT (10),
+    which covers the d = 10 that verify region runs at; branch-and-bound
+    takes any d, but refuses with BudgetExceeded a search that passes
+    COVER_NODE_CAP steps (nodes plus items scanned).
     """
     if mode not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -578,7 +563,7 @@ def geometry_bound(
             f"exhaustive subset search over d = {cfg.d} classes exceeds "
             f"the limit {EXHAUSTIVE_LIMIT}"
         )
-    return _report("geometry", _geometry, cfg, exhaustive=exhaustive)
+    return _report("geometry", cfg, exhaustive=exhaustive)
 
 
 EVALUATORS = {
@@ -644,82 +629,114 @@ def _over(vec: Sequence[Fraction], scale: int) -> list[int]:
     return [f.numerator * (scale // f.denominator) for f in vec]
 
 
-def _class_index(i: int, d: int) -> int:
-    """The 0-based position of class i, refused unless 1 <= i <= d."""
+def _fields(method: str, witness, *keys: str) -> list:
+    """The values of a witness at keys, refused unless it is a dict of
+    just those keys."""
+    if isinstance(witness, dict) and len(witness) == len(keys):
+        try:
+            return [witness[key] for key in keys]
+        except KeyError:
+            pass
+    raise ValueError(f"{method} witness must be a dict of the keys {', '.join(keys)}")
+
+
+def _pair_of(method: str, cfg, pair) -> tuple:
+    """The two vectors of cfg a witness pair names, refused unless it names
+    two different ones."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        u, v = pair
+        if u != v and u in VECTOR_NAMES and v in VECTOR_NAMES:
+            return getattr(cfg, u), getattr(cfg, v)
+    raise ValueError(f"{method} witness pair {pair!r} does not name two different vectors")
+
+
+def _class_index(method: str, key: str, i, d: int, low: int = 1) -> int:
+    """The 0-based position of class i, refused unless i is an int with
+    1 <= i <= d and i >= low."""
+    if type(i) is not int:
+        raise ValueError(f"{method} witness: {key} = {i!r} is not a class index")
     if not 1 <= i <= d:
         raise ValueError(f"class index {i} outside 1..{d}")
+    if i < low:
+        raise ValueError(f"{method} witness: {key} = {i} is below {low}")
     return i - 1
 
 
 def _replay_trivial(cfg, witness, scale, dn):
-    u, v = witness["pair"]
-    return sum(_over(cfg.vector(u) + cfg.vector(v), scale)), scale
+    (pair,) = _fields("trivial", witness, "pair")
+    u, v = _pair_of("trivial", cfg, pair)
+    return sum(_over(u + v, scale)), scale
 
 
 def _replay_fourier(cfg, witness, scale, dn):
     # (1 + delta + series - sub) / 2, over 2 * scale
-    u, v = witness["pair"]
-    uv, vv = _over(cfg.vector(u), scale), _over(cfg.vector(v), scale)
+    pair, m = _fields("fourier", witness, "pair", "m")
+    u, v = _pair_of("fourier", cfg, pair)
+    uv, vv = _over(u, scale), _over(v, scale)
     series = sum(map(max, uv, vv))
-    m = witness["m"]
     if m is None:
         sub = 0
     else:
-        k = _class_index(m, cfg.d)
+        k = _class_index("fourier", "m", m, cfg.d, 2)
         sub = max(uv[k], vv[k])
     return scale + dn + series - sub, 2 * scale
 
 
 def _replay_extended_fourier(cfg, witness, scale, dn):
     # as fourier, the subtracted term pooling class i of the second vector
-    u, v = witness["pair"]
-    uv, vv = _over(cfg.vector(u), scale), _over(cfg.vector(v), scale)
+    pair, i = _fields(EXTENDED_METHOD, witness, "pair", "i")
+    u, v = _pair_of(EXTENDED_METHOD, cfg, pair)
+    uv, vv = _over(u, scale), _over(v, scale)
     series = sum(map(max, uv, vv))
-    i = witness["i"]
-    sub = 0 if i is None else sum(vv[_class_index(i, cfg.d)::i])
+    sub = 0 if i is None else sum(vv[_class_index(EXTENDED_METHOD, "i", i, cfg.d, 2)::i])
     return scale + dn + series - sub, 2 * scale
 
 
 def _replay_geometry(cfg, witness, scale, dn):
-    # delta + max(1, W) - S, over scale
-    w = s = 0
-    for name, key in zip(VECTOR_NAMES, ("I", "Ip", "Ipp")):
-        vec = cfg.vector(name)
-        for i in witness[key]:
-            f = vec[_class_index(i, cfg.d)]
+    # delta + max(1, W) - S, over scale; each subset lists distinct classes
+    keys = ("I", "Ip", "Ipp")
+    d, w, s = cfg.d, 0, 0
+    for vec, key, classes in zip((cfg.a, cfg.b, cfg.c), keys, _fields("geometry", witness, *keys)):
+        if not isinstance(classes, (list, tuple)):
+            raise ValueError(f"geometry witness: {key} = {classes!r} is not a list of classes")
+        for i in classes:
+            f = vec[_class_index("geometry", key, i, d)]
             x = f.numerator * (scale // f.denominator)
             w += i * x
             s += x
+        if len(set(classes)) < len(classes):
+            raise ValueError(f"geometry witness: {key} = {classes!r} repeats a class")
     return dn + max(scale, w) - s, scale
 
 
 def _replay_determinant(cfg, witness, scale, dn):
     # over scale * p * q, min(u_p / q, v_q / p) is min(U * p, V * q)
-    u, v = witness["pair"]
-    p, q = witness["p"], witness["q"]
-    up, vq = _over((cfg.vector(u)[_class_index(p, cfg.d)],
-                    cfg.vector(v)[_class_index(q, cfg.d)]), scale)
+    pair, p, q = _fields("determinant", witness, "pair", "p", "q")
+    u, v = _pair_of("determinant", cfg, pair)
+    up, vq = _over((u[_class_index("determinant", "p", p, cfg.d)],
+                    v[_class_index("determinant", "q", q, cfg.d)]), scale)
     pq = p * q
     return (scale + dn - up - vq) * pq + min(up * p, vq * q), scale * pq
 
 
 def _replay_thue(cfg, witness, scale, dn):
-    p = witness["p"]
-    if p is None:
+    pair, p = _fields("thue", witness, "pair", "p")
+    if pair is None and p is None:  # nothing pooled
         return scale + dn, scale
-    u, v = witness["pair"]
-    k = _class_index(p, cfg.d)
-    sub = sum(_over(cfg.vector(u)[k::p] + cfg.vector(v)[k::p], scale))
+    u, v = _pair_of("thue", cfg, pair)
+    k = _class_index("thue", "p", p, cfg.d, 2)
+    sub = sum(_over(u[k::p] + v[k::p], scale))
     return scale + dn - sub, scale
 
 
-_REPLAYS = {
-    "trivial": _replay_trivial,
-    "fourier": _replay_fourier,
-    "geometry": _replay_geometry,
-    "determinant": _replay_determinant,
-    "thue": _replay_thue,
-    EXTENDED_METHOD: _replay_extended_fourier,
+# each method's integer core and its independent replay
+_METHODS = {
+    "trivial": (_trivial, _replay_trivial),
+    "fourier": (_fourier, _replay_fourier),
+    "geometry": (_geometry, _replay_geometry),
+    "determinant": (_determinant, _replay_determinant),
+    "thue": (_thue, _replay_thue),
+    EXTENDED_METHOD: (_extended_fourier, _replay_extended_fourier),
 }
 
 
@@ -731,14 +748,23 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
     reads, and delta, over the lcm of the configuration's own denominators
     and evaluates the formula in integers; the one Fraction it builds is
     the result.  It shares no code with the integer cores, and reads
-    neither cfg.grid nor fast_scale, so it checks them.  A class index
-    outside 1..d is refused with ValueError.
+    neither cfg.grid nor fast_scale, so it checks them.
+
+    A witness outside the formula's domain is refused with ValueError: one
+    that is not a dict of just the method's keys, a pair that does not
+    name two different vectors, a class index that is not an int in 1..d
+    (in 2..d for fourier's m, extended-fourier's i and thue's p), or a
+    geometry subset that repeats a class.  Every refusal but the range of
+    a class index names the method.  None for m, i or p subtracts nothing;
+    thue's None p comes with a None pair.
     """
     if method == "best":
-        return evaluate_at(cfg, witness["method"], witness["witness"])
-    replay = _REPLAYS.get(method)
-    if replay is None:
+        method, witness = _fields("best", witness, "method", "witness")
+        if not isinstance(method, str) or method not in _METHODS:
+            raise ValueError(f"best witness: unknown method {method!r}")
+    elif method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    replay = _METHODS[method][1]
     delta = cfg.delta
     scale = lcm(delta.denominator, *[f.denominator for f in cfg.a + cfg.b + cfg.c])
     dn = delta.numerator * (scale // delta.denominator)
@@ -794,7 +820,7 @@ def fast_best(
             if name == "determinant":
                 num, den = _determinant_floor(vecs, delta_num, scale)
             else:
-                num, den, _ = values[name] = _CORES[name](vecs, delta_num, scale)
+                num, den, _ = values[name] = _METHODS[name][0](vecs, delta_num, scale)
             limit = min(limit, (num * scale - strict) // den - delta_num)
         cover, _ = _cover_branch_bound(vecs, scale, stop_at=limit)
         if cover <= limit:
@@ -802,7 +828,7 @@ def fast_best(
         values["geometry"] = (delta_num + cover, scale, None)
     best = None  # (num, den, name)
     for name in names:
-        num, den, _ = values.get(name) or _CORES[name](vecs, delta_num, scale)
+        num, den, _ = values.get(name) or _METHODS[name][0](vecs, delta_num, scale)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, name)
     return best

@@ -398,6 +398,8 @@ def _cmd_verify_region(args) -> int:
                  _budget(args))
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.streams < 1:
+        raise ValueError("--streams must be >= 1")
     report = maximize_nu(
         args.d, args.delta, args.epsilon, budget=args.samples, seed=args.seed,
         methods=args.methods, streams=args.streams,

@@ -138,10 +138,10 @@ def test_extended_fourier_never_above_fourier():
 
 
 def test_exhaustive_refusal():
-    # d = 9 would enumerate 2**27 subset triples; the refusal is immediate
+    # d = 11 would enumerate 2**33 subset triples; the refusal is immediate
     t0 = time.perf_counter()
     with pytest.raises(SubsetSearchRefusal):
-        geometry_bound(zeros(9), mode="exhaustive")
+        geometry_bound(zeros(11), mode="exhaustive")
     assert time.perf_counter() - t0 < 1
     cfg = zeros(13)
     with pytest.raises(SubsetSearchRefusal):
@@ -189,9 +189,16 @@ def test_geometry_branch_bound_equals_exhaustive():
     tail_rng = random.Random(8)
     configs += [_tail_shaped_cfg(tail_rng, d) for d in (2, 3, 4, 5) for _ in range(15)]
     configs += [_tail_shaped_cfg(tail_rng, d) for d in (6, 7, 8) for _ in range(4)]
-    # the region's own shapes, where its maxima sit
-    for d in (6, 8):
+    # the region's own shapes, where its maxima sit, up to EXHAUSTIVE_LIMIT
+    for d in (6, 8, 9, 10):
         configs += sample_feasible(d, F(1, 1000), F(1, 1000), 4, seed=d)
+    # every entry nonzero: the exhaustive search's worst case at d = 10
+    dense_rng = random.Random(10)
+
+    def dense():
+        return tuple(F(dense_rng.randint(1, 300_000), 3_000_000) for _ in range(10))
+
+    configs.append(cfg_of(dense(), dense(), dense(), delta=F(1, 1000)))
     for cfg in configs:
         bb = geometry_bound(cfg, mode="branch-and-bound")
         ex = geometry_bound(cfg, mode="exhaustive")
@@ -356,7 +363,7 @@ def _fraction_replay(cfg, method, witness):
     """evaluate_at as it was in Fraction arithmetic, kept as the reference."""
     if method == "trivial":
         u, v = witness["pair"]
-        return cfg.total(u) + cfg.total(v)
+        return sum(cfg.vector(u) + cfg.vector(v), Fraction(0))
     if method == "fourier":
         u, v = witness["pair"]
         uv, vv = cfg.vector(u), cfg.vector(v)
@@ -465,8 +472,8 @@ def test_replay_is_independent_of_the_cores(monkeypatch):
         raise AssertionError("evaluate_at reached an integer core")
 
     monkeypatch.setattr(B, "fast_scale", refuse)
-    for name in B._CORES:
-        monkeypatch.setitem(B._CORES, name, refuse)
+    for name, (_, replay) in B._METHODS.items():
+        monkeypatch.setitem(B._METHODS, name, (refuse, replay))
     for cfg, rep in reports:
         fresh = _fresh(cfg)
         assert evaluate_at(fresh, rep.method, rep.witness) == rep.value
@@ -494,6 +501,54 @@ def test_replay_refuses_class_indices_outside_1_to_d(method, witness):
                  [F(1, 3), F(1, 6), F(1, 9)], delta=F(1, 1000))
     with pytest.raises(ValueError, match=r"class index -?\d+ outside 1\.\.3"):
         evaluate_at(cfg, method, witness)
+
+
+@pytest.mark.parametrize("method, witness", [
+    ("fourier", {"pair": ["a", "b"]}),
+    ("determinant", {"pair": ["a", "b"], "p": 1, "q": 2, "r": 3}),
+    ("trivial", [["a", "b"]]),
+    ("fourier", {"pair": ["a", "z"], "m": 2}),
+    ("trivial", {"pair": ["a"]}),
+    ("trivial", {"pair": ["a", "a"]}),
+    ("determinant", {"pair": "ab", "p": 1, "q": 1}),
+    ("fourier", {"pair": ["a", "b"], "m": "2"}),
+    ("determinant", {"pair": ["a", "b"], "p": 2.0, "q": 1}),
+    ("thue", {"pair": ["a", "b"], "p": True}),
+    ("thue", {"pair": ["a", "b"], "p": 1}),
+    ("fourier", {"pair": ["a", "b"], "m": 1}),
+    (EXTENDED_METHOD, {"pair": ["a", "b"], "i": 1}),
+    ("thue", {"pair": None, "p": 2}),
+    ("thue", {"pair": ["a", "b"], "p": None}),
+    ("geometry", {"I": [1, 1], "Ip": [], "Ipp": []}),
+    ("geometry", {"I": [], "Ip": "12", "Ipp": []}),
+    ("best", ["trivial", {"pair": ["a", "b"]}]),
+    ("best", {"method": "best", "witness": {"method": "trivial",
+                                            "witness": {"pair": ["a", "b"]}}}),
+    ("best", {"method": ["trivial"], "witness": {"pair": ["a", "b"]}}),
+])
+def test_replay_refuses_witnesses_outside_the_formula(method, witness):
+    # no core emits any of these witnesses; unchecked, each would replay to
+    # a value or fail with a bare KeyError or TypeError
+    cfg = cfg_of([F(1, 5), F(1, 10), F(1, 20)], [F(1, 4), F(0), F(1, 8)],
+                 [F(1, 3), F(1, 6), F(1, 9)], delta=F(1, 1000))
+    with pytest.raises(ValueError, match=method):
+        evaluate_at(cfg, method, witness)
+
+
+def test_method_table_matches_the_public_evaluators():
+    import abckit.bounds as B
+
+    assert set(B._METHODS) == set(B.EVALUATORS)
+    rng = random.Random(30)
+    configs = [_random_cfg(rng, d=d) for d in (1, 2, 3, 5) for _ in range(3)]
+    configs += sample_feasible(6, F(1, 1000), F(1, 1000), 2, seed=30)
+    for cfg in configs:
+        vecs, dn, scale = cfg.grid
+        for name, (core, replay) in B._METHODS.items():
+            rep = B.EVALUATORS[name](cfg)
+            num, den, witness = core(vecs, dn, scale)
+            assert (rep.method, rep.value, rep.witness) == (name, F(num, den), witness)
+            assert F(*replay(cfg, witness, scale, dn)) == rep.value
 
 
 def test_best_bound_method_lists():
@@ -557,7 +612,7 @@ def test_config_accessors():
     cfg = cfg_of(
         [F(1, 10), F(1, 5)], [F(1, 20), F(1, 4)], [F(0), F(3, 10)], delta=F(1, 1000)
     )
-    assert [cfg.total(v) for v in "abc"] == [F(3, 10)] * 3
+    assert [sum(cfg.vector(v), F(0)) for v in "abc"] == [F(3, 10)] * 3
     assert cfg.vector("c") == (F(0), F(3, 10))
 
 

@@ -849,6 +849,20 @@ def test_exit_2_samples_below_1_names_the_flag(capsys, monkeypatch, samples):
                             "message": "--samples must be >= 1"}
 
 
+@pytest.mark.parametrize("streams", ["0", "-2"])
+def test_exit_2_streams_below_1_names_the_flag(capsys, monkeypatch, streams):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "maximize_nu", no_search)
+    code, doc = run_json(capsys, "verify", "region", "--d", "6",
+                         "--delta", "1/1000", "--epsilon", "1/1000",
+                         "--streams", streams)
+    assert code == 2
+    assert doc["error"] == {"kind": "invalid-argument",
+                            "message": "--streams must be >= 1"}
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--d", "0", "--delta", "1/1000"), "d must be >= 1"),
     (("--d=-4", "--delta", "1/1000"), "d must be >= 1"),
