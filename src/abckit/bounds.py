@@ -29,12 +29,13 @@ the public evaluators run a core on that grid and return a BoundReport
 with an exact Fraction, and fast_best runs the same cores on a caller's
 grid for bulk search.  Two independent checks stay beside the cores:
 evaluate_at replays a defining formula at a witness in integers, over
-the lcm of the configuration's own denominators taken afresh on each
-call (never cfg.grid), refusing a witness outside the formula's domain;
-and the geometry subset search, by branch-and-bound, can be
-cross-checked by an exact enumeration of every subset triple, met in the
-middle: it sums the subsets of each half of the 3d items once, at most
-2 * 2**(3d/2) of them, and shares no code with the search.
+the lcm of the denominators of delta and of the entries the witness
+names, taken afresh on each call (never cfg.grid nor fast_scale),
+refusing a witness outside the formula's domain; and the geometry subset
+search, by branch-and-bound, can be cross-checked by an exact
+enumeration of every subset triple, met in the middle: it sums the
+subsets of each half of the 3d items once, at most 2 * 2**(3d/2) of
+them, and shares no code with the search.
 
 The geometry search covers the deficit that the free class-1 entries
 leave with items of rate (i - 1)/i, in rate order.  Its completion bound
@@ -62,9 +63,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import compress
+from math import isqrt, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .radicals import BudgetExceeded
@@ -187,17 +189,32 @@ def _fourier(vecs, dn, scale):
     return best, 2 * scale, {"pair": _pair(ui, vi), "m": m_at}
 
 
+@lru_cache(maxsize=64)
+def _primes_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(compress(range(n + 1), sieve))
+
+
 def _class_sums(v) -> list[int]:
-    """The pooled divisor classes sum_{p | i} v_i of v, for p = 2..d."""
-    return [sum(v[p - 1::p]) for p in range(2, len(v) + 1)]
+    """The pooled divisor classes sum_{p | i} v_i of v, one per prime
+    p <= d, in the order of _primes_to(d).  A composite class never pools
+    more than its least prime factor, which comes first in every scan, so
+    the primes alone give each core's value and first minimizer."""
+    return [sum(v[p - 1::p]) for p in _primes_to(len(v))]
 
 
 def _extended_fourier(vecs, dn, scale):
     # per vector: its largest pooled divisor class, and the first i >= 2 at it
+    primes = _primes_to(len(vecs[0]))
     pooled = []
     for sums in map(_class_sums, vecs):
         top = max(sums, default=0)
-        pooled.append((top, sums.index(top) + 2 if sums else None))
+        pooled.append((top, primes[sums.index(top)] if sums else None))
     # sum_i max(u_i, v_i) is symmetric: one series per unordered pair,
     # scanned over the ordered pairs (u, v)
     a, b, c = vecs
@@ -217,29 +234,40 @@ def _determinant(vecs, dn, scale):
     # B = 1 + delta - u_p - (1 - 1/p) v_q.  For each q, A is least first at
     # the first p of the largest u_p (at p = 1 when q = 1: A is flat in p);
     # B likewise at the first q of the largest v_q.  Each of a pair's 2d
-    # candidates is num / (scale * k); they are compared by cross-
-    # multiplication, a tie going to the least (pair, p, q), as in a scan
+    # candidates is num / (scale * k); they are compared with the best so
+    # far, bn / (scale * bk), by cross-multiplication, and the witness is
+    # read only on a tie, which goes to the least (pair, p, q), as in a scan
     head = scale + dn
-    best = (1, 0, None)  # 1/0, above every candidate
+    bn, bk, at = 1, 0, None  # 1/0, above every candidate
     for ui, vi in ((0, 1), (0, 2), (1, 2)):
         u, v = vecs[ui], vecs[vi]
         mu, mv = max(u), max(v)
         pu, qv = u.index(mu) + 1, v.index(mv) + 1
-        for k, uk, vk in zip(range(1, len(u) + 1), u, v):
-            p, q = (pu, qv) if k > 1 else (1, 1)  # A(p, 1), B(1, q) are flat
-            for cand in ((head * k - (k - 1) * mu - k * vk, k, (ui, vi, p, k)),
-                         (head * k - k * uk - (k - 1) * mv, k, (ui, vi, k, q))):
-                if (cand[0] * best[1], cand[2]) < (best[0] * k, best[2]):
-                    best = cand
-    num, k, (ui, vi, p, q) = best
-    return num, scale * k, {"pair": _pair(ui, vi), "p": p, "q": q}
+        p = q = 1  # A(p, 1) and B(1, q) are flat
+        hk = k = 0
+        for uk, vk in zip(u, v):
+            k += 1
+            hk += head
+            if k == 2:
+                p, q = pu, qv
+            num = hk - (k - 1) * mu - k * vk  # A(p, k)
+            lhs, rhs = num * bk, bn * k
+            if lhs < rhs or lhs == rhs and (ui, vi, p, k) < at:
+                bn, bk, at = num, k, (ui, vi, p, k)
+            num = hk - k * uk - (k - 1) * mv  # B(k, q)
+            lhs, rhs = num * bk, bn * k
+            if lhs < rhs or lhs == rhs and (ui, vi, k, q) < at:
+                bn, bk, at = num, k, (ui, vi, k, q)
+    ui, vi, p, q = at
+    return bn, scale * bk, {"pair": _pair(ui, vi), "p": p, "q": q}
 
 
 def _thue(vecs, dn, scale):
+    primes = _primes_to(len(vecs[0]))
     a, b, c = map(_class_sums, vecs)
     sub, at = 0, None
     for ui, vi, su, sv in ((0, 1, a, b), (0, 2, a, c), (1, 2, b, c)):
-        for p, pooled in enumerate(map(add, su, sv), 2):
+        for p, pooled in zip(primes, map(add, su, sv)):
             if pooled > sub:
                 sub, at = pooled, (ui, vi, p)
     if at is None:  # nothing pooled: just 1 + delta
@@ -623,10 +651,13 @@ def best_of(reports: Iterable[BoundReport]) -> BoundReport:
     return BoundReport("best", best.value, {"method": best.method, "witness": best.witness})
 
 
-def _over(vec: Sequence[Fraction], scale: int) -> list[int]:
-    """The entries of vec as integer numerators over scale, a multiple of
-    every denominator among them."""
-    return [f.numerator * (scale // f.denominator) for f in vec]
+def _over(delta: Fraction, entries: Sequence[Fraction]) -> tuple[int, int, list[int]]:
+    """(scale, dn, nums): scale the lcm of the denominators of delta and
+    the entries, dn and nums their numerators over it."""
+    pairs = [f.as_integer_ratio() for f in entries]
+    scale = lcm(delta.denominator, *[q for _, q in pairs])
+    return (scale, delta.numerator * (scale // delta.denominator),
+            [n * (scale // q) for n, q in pairs])
 
 
 def _fields(method: str, witness, *keys: str) -> list:
@@ -662,71 +693,81 @@ def _class_index(method: str, key: str, i, d: int, low: int = 1) -> int:
     return i - 1
 
 
-def _replay_trivial(cfg, witness, scale, dn):
+def _high_class(method: str, key: str, i, d: int) -> int | None:
+    """The 0-based position of a subtracted class i in 2..d, or None for
+    i = None, which subtracts nothing and is refused unless d = 1."""
+    if i is None:
+        if d > 1:
+            raise ValueError(f"{method} witness: {key} = None subtracts nothing, "
+                             f"but d = {d} has classes 2..{d}")
+        return None
+    return _class_index(method, key, i, d, 2)
+
+
+def _replay_trivial(cfg, witness):
     (pair,) = _fields("trivial", witness, "pair")
     u, v = _pair_of("trivial", cfg, pair)
-    return sum(_over(u + v, scale)), scale
+    scale, _, nums = _over(cfg.delta, u + v)
+    return sum(nums), scale
 
 
-def _replay_fourier(cfg, witness, scale, dn):
+def _replay_fourier(cfg, witness):
     # (1 + delta + series - sub) / 2, over 2 * scale
     pair, m = _fields("fourier", witness, "pair", "m")
     u, v = _pair_of("fourier", cfg, pair)
-    uv, vv = _over(u, scale), _over(v, scale)
+    k = _high_class("fourier", "m", m, cfg.d)
+    scale, dn, nums = _over(cfg.delta, u + v)
+    uv, vv = nums[:cfg.d], nums[cfg.d:]
     series = sum(map(max, uv, vv))
-    if m is None:
-        sub = 0
-    else:
-        k = _class_index("fourier", "m", m, cfg.d, 2)
-        sub = max(uv[k], vv[k])
+    sub = 0 if k is None else max(uv[k], vv[k])
     return scale + dn + series - sub, 2 * scale
 
 
-def _replay_extended_fourier(cfg, witness, scale, dn):
+def _replay_extended_fourier(cfg, witness):
     # as fourier, the subtracted term pooling class i of the second vector
     pair, i = _fields(EXTENDED_METHOD, witness, "pair", "i")
     u, v = _pair_of(EXTENDED_METHOD, cfg, pair)
-    uv, vv = _over(u, scale), _over(v, scale)
-    series = sum(map(max, uv, vv))
-    sub = 0 if i is None else sum(vv[_class_index(EXTENDED_METHOD, "i", i, cfg.d, 2)::i])
+    k = _high_class(EXTENDED_METHOD, "i", i, cfg.d)
+    scale, dn, nums = _over(cfg.delta, u + v)
+    series = sum(map(max, nums[:cfg.d], nums[cfg.d:]))
+    sub = 0 if k is None else sum(nums[cfg.d + k::i])
     return scale + dn + series - sub, 2 * scale
 
 
-def _replay_geometry(cfg, witness, scale, dn):
+def _replay_geometry(cfg, witness):
     # delta + max(1, W) - S, over scale; each subset lists distinct classes
     keys = ("I", "Ip", "Ipp")
-    d, w, s = cfg.d, 0, 0
+    d, weights, entries = cfg.d, [], []
     for vec, key, classes in zip((cfg.a, cfg.b, cfg.c), keys, _fields("geometry", witness, *keys)):
         if not isinstance(classes, (list, tuple)):
             raise ValueError(f"geometry witness: {key} = {classes!r} is not a list of classes")
-        for i in classes:
-            f = vec[_class_index("geometry", key, i, d)]
-            x = f.numerator * (scale // f.denominator)
-            w += i * x
-            s += x
+        entries += [vec[_class_index("geometry", key, i, d)] for i in classes]
         if len(set(classes)) < len(classes):
             raise ValueError(f"geometry witness: {key} = {classes!r} repeats a class")
-    return dn + max(scale, w) - s, scale
+        weights += classes
+    scale, dn, nums = _over(cfg.delta, entries)
+    return dn + max(scale, sum(map(mul, weights, nums))) - sum(nums), scale
 
 
-def _replay_determinant(cfg, witness, scale, dn):
+def _replay_determinant(cfg, witness):
     # over scale * p * q, min(u_p / q, v_q / p) is min(U * p, V * q)
     pair, p, q = _fields("determinant", witness, "pair", "p", "q")
     u, v = _pair_of("determinant", cfg, pair)
-    up, vq = _over((u[_class_index("determinant", "p", p, cfg.d)],
-                    v[_class_index("determinant", "q", q, cfg.d)]), scale)
+    scale, dn, (up, vq) = _over(cfg.delta, (u[_class_index("determinant", "p", p, cfg.d)],
+                                            v[_class_index("determinant", "q", q, cfg.d)]))
     pq = p * q
     return (scale + dn - up - vq) * pq + min(up * p, vq * q), scale * pq
 
 
-def _replay_thue(cfg, witness, scale, dn):
+def _replay_thue(cfg, witness):
     pair, p = _fields("thue", witness, "pair", "p")
     if pair is None and p is None:  # nothing pooled
+        scale, dn, _ = _over(cfg.delta, ())
         return scale + dn, scale
     u, v = _pair_of("thue", cfg, pair)
     k = _class_index("thue", "p", p, cfg.d, 2)
-    sub = sum(_over(u[k::p] + v[k::p], scale))
-    return scale + dn - sub, scale
+    scale, dn, nums = _over(cfg.delta, u[k::p] + v[k::p])
+    return scale + dn - sum(nums), scale
 
 
 # each method's integer core and its independent replay
@@ -744,19 +785,23 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
     """Replay a bound formula at a pinned witness, exactly.
 
     For the minimizing methods this reproduces BoundReport.value, which is
-    what the report-validity tests assert.  Each call puts the entries it
-    reads, and delta, over the lcm of the configuration's own denominators
-    and evaluates the formula in integers; the one Fraction it builds is
-    the result.  It shares no code with the integer cores, and reads
-    neither cfg.grid nor fast_scale, so it checks them.
+    what the report-validity tests assert.  Each call puts delta and the
+    entries the witness names (both vectors of the pair for trivial and
+    the two fourier methods, the listed classes for geometry, u_p and v_q
+    for determinant, the pooled classes for thue) over the lcm of their
+    denominators alone, and evaluates the formula in integers; the one
+    Fraction it builds is the result.  It shares no code with the integer
+    cores, and reads neither cfg.grid nor fast_scale, so it checks them.
 
     A witness outside the formula's domain is refused with ValueError: one
     that is not a dict of just the method's keys, a pair that does not
     name two different vectors, a class index that is not an int in 1..d
     (in 2..d for fourier's m, extended-fourier's i and thue's p), or a
     geometry subset that repeats a class.  Every refusal but the range of
-    a class index names the method.  None for m, i or p subtracts nothing;
-    thue's None p comes with a None pair.
+    a class index names the method.  None for m, i or p subtracts nothing:
+    fourier's m and extended-fourier's i may be None only at d = 1, where
+    no class 2..d exists, and thue's None p comes with a None pair, at any
+    d.
     """
     if method == "best":
         method, witness = _fields("best", witness, "method", "witness")
@@ -764,11 +809,7 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
             raise ValueError(f"best witness: unknown method {method!r}")
     elif method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    replay = _METHODS[method][1]
-    delta = cfg.delta
-    scale = lcm(delta.denominator, *[f.denominator for f in cfg.a + cfg.b + cfg.c])
-    dn = delta.numerator * (scale // delta.denominator)
-    return Fraction(*replay(cfg, witness, scale, dn))
+    return Fraction(*_METHODS[method][1](cfg, witness))
 
 
 # --- bulk search on a caller's grid --------------------------------------------

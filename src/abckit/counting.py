@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt, prod
 from operator import and_, mul
 
@@ -524,10 +524,14 @@ def _ranges(anchors: tuple[Fraction, ...]) -> list[range]:
 
 
 def _family(ranges: list[range]) -> list[tuple[int, int]]:
-    """All tuples in the box of the given ranges, reduced to
-    (prod v_j^j, prod v_j)."""
-    return [(prod(v**j for j, v in enumerate(tup, start=1)), prod(tup))
-            for tup in product(*ranges)]
+    """All tuples in the box of the given ranges, in itertools.product
+    order, reduced to (prod v_j^j, prod v_j): built one coordinate at a
+    time, each power v**j taken once per value."""
+    family = [(1, 1)]
+    for j, r in enumerate(ranges, start=1):
+        powers = [(v**j, v) for v in r]
+        family = [(pw * vp, pl * v) for pw, pl in family for vp, v in powers]
+    return family
 
 
 def count_bd(
@@ -540,8 +544,10 @@ def count_bd(
     in the dyadic boxes of ``spec`` with gcd(c1*prod x_j, c2*prod y_j,
     c3*prod z_j) = 1.
 
-    Strategies: 'nested' checks every (x, y, z) combination; 'mitm' indexes
-    the z side by its power product and meets it from the (x, y) side.
+    Strategies: 'nested' checks every (x, y, z) combination, each (x, y)
+    against the whole z column at once: a list scan of c3*prod(z_j^j),
+    computed once per z, that still compares every z; 'mitm' indexes the
+    z side by its power product and meets it from the (x, y) side.
     """
     if strategy not in ("nested", "mitm"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -561,11 +567,15 @@ def count_bd(
         return CountResult(query=query, count=0, strategy=strategy)
     if strategy == "nested":
         fx, fy, fz = _family(rx), _family(ry), _family(rz)
+        zpow = [c3 * pz for pz, _ in fz]
         for px, sx in fx:
+            u = c1 * px
             for py, sy in fy:
-                lhs = c1 * px + c2 * py
-                for pz, sz in fz:
-                    if lhs == c3 * pz and gcd(c1 * sx, c2 * sy, c3 * sz) == 1:
+                lhs = u + c2 * py
+                if lhs not in zpow:  # compares every z's c3*prod(z_j^j)
+                    continue
+                for (_, sz), w in zip(fz, zpow):
+                    if w == lhs and gcd(c1 * sx, c2 * sy, c3 * sz) == 1:
                         count += 1
     else:
         by_power: dict[int, list[int]] = {}

@@ -50,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Rational) -> str:
     """Render a rational as 'p/q' (or 'p' when the denominator is 1)."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -356,6 +356,27 @@ def test_cores_replay_to_first_minimizer():
             assert (F(num, den), method) == (rep.value, rep.witness["method"])
 
 
+def test_determinant_first_minimizer_on_ties_at_high_d():
+    # entries in {0, 1/6, 1/3} repeat each vector's maximum and make many
+    # of the 2d candidates per pair equal; u_i = 1/i makes u_p / q equal
+    # to v_q / p along whole diagonals
+    rng = random.Random(712)
+    for d in range(7, 13):
+        space = _witness_space("determinant", d)
+        harmonic = [F(1, i) for i in range(1, d + 1)]
+        configs = [zeros(d), cfg_of(*[[F(1, 7)] * d] * 3, delta=F(1, 7)),
+                   cfg_of(harmonic, harmonic, harmonic[::-1])]
+        for _ in range(3):
+            vec = lambda: [F(rng.randint(0, 2), 6) for _ in range(d)]
+            configs.append(cfg_of(vec(), vec(), vec(), delta=F(rng.randint(0, 1), 6)))
+        for cfg in configs:
+            rep = determinant_bound(cfg)
+            values = [evaluate_at(cfg, "determinant", w) for w in space]
+            low = min(values)
+            assert rep.value == low, cfg
+            assert rep.witness == space[values.index(low)], cfg
+
+
 # --- the integer replay against the Fraction replay it replaced ---
 
 
@@ -445,8 +466,10 @@ def test_integer_replay_edge_witnesses():
     assert evaluate_at(cfg, "thue", {"pair": None, "p": None}) == F(8, 7)
     wide = cfg_of([F(1, 6), F(1, 4), F(0)], [F(1, 9), F(0), F(2, 15)],
                   [F(1, 2), F(1, 8), F(1, 10)], delta=F(3, 1000))
+    # at d >= 2 no core emits a None m or i, and replay refuses them
     for pair in _ORDERED_PAIRS:
-        _assert_replays_match(wide, EXTENDED_METHOD, {"pair": pair, "i": None})
+        with pytest.raises(ValueError, match=EXTENDED_METHOD):
+            evaluate_at(wide, EXTENDED_METHOD, {"pair": pair, "i": None})
     # a determinant tie: u_p * p == v_q * q, so u_p / q == v_q / p
     tie = cfg_of([F(0), F(1, 6), F(0)], [F(0), F(0), F(1, 9)], [F(0)] * 3,
                  delta=F(1, 1000))
@@ -458,6 +481,42 @@ def test_integer_replay_edge_witnesses():
     # best replays the winner's witness
     rep = best_bound(tie, methods=METHOD_NAMES + (EXTENDED_METHOD,))
     _assert_replays_match(tie, "best", rep.witness)
+
+
+def _named(method, witness, d):
+    """The (vector, class) entries a witness names: what replay reads."""
+    if method == "geometry":
+        return {(name, i) for name, key in zip(VECTOR_NAMES, ("I", "Ip", "Ipp"))
+                for i in witness[key]}
+    u, v = witness["pair"]
+    if method == "determinant":
+        return {(u, witness["p"]), (v, witness["q"])}
+    if method == "thue":
+        return {(name, i) for name in (u, v) for i in range(witness["p"], d + 1, witness["p"])}
+    return {(name, i) for name in (u, v) for i in range(1, d + 1)}
+
+
+def test_integer_replay_reads_only_the_named_denominators():
+    # named entries and delta on eighths, every other entry on a prime
+    # denominator coprime to 8: the replay's lcm leaves the unnamed
+    # entries out, and the value must not notice
+    rng = random.Random(3107)
+    for d in range(2, 7):
+        for method in (*_REPLAYED, "geometry"):
+            if method == "geometry":
+                pick = lambda: sorted(rng.sample(range(1, d + 1), rng.randint(0, d)))
+                witnesses = [{"I": pick(), "Ip": pick(), "Ipp": pick()} for _ in range(4)]
+            else:
+                witnesses = rng.choices(_witness_space(method, d), k=4)
+            for witness in witnesses:
+                if method == "thue" and witness["p"] is None:
+                    continue
+                named = _named(method, witness, d)
+                a, b, c = ([F(rng.randint(0, 8), 8) if (name, i) in named
+                            else F(rng.randint(1, 30), rng.choice((3, 5, 7, 11, 13)))
+                            for i in range(1, d + 1)] for name in VECTOR_NAMES)
+                cfg = cfg_of(a, b, c, delta=F(rng.randint(0, 8), 8))
+                _assert_replays_match(cfg, method, witness)
 
 
 def test_replay_is_independent_of_the_cores(monkeypatch):
@@ -525,6 +584,7 @@ def test_replay_refuses_class_indices_outside_1_to_d(method, witness):
     ("best", {"method": "best", "witness": {"method": "trivial",
                                             "witness": {"pair": ["a", "b"]}}}),
     ("best", {"method": ["trivial"], "witness": {"pair": ["a", "b"]}}),
+    ("fourier", {"pair": ["a", "c"], "m": None}),
 ])
 def test_replay_refuses_witnesses_outside_the_formula(method, witness):
     # no core emits any of these witnesses; unchecked, each would replay to
@@ -548,7 +608,7 @@ def test_method_table_matches_the_public_evaluators():
             rep = B.EVALUATORS[name](cfg)
             num, den, witness = core(vecs, dn, scale)
             assert (rep.method, rep.value, rep.witness) == (name, F(num, den), witness)
-            assert F(*replay(cfg, witness, scale, dn)) == rep.value
+            assert F(*replay(cfg, witness)) == rep.value
 
 
 def test_best_bound_method_lists():

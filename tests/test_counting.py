@@ -1,4 +1,5 @@
 import inspect
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -327,6 +328,65 @@ def test_bd_strategies_agree():
         a = count_bd(spec, strategy="nested")
         b = count_bd(spec, strategy="mitm")
         assert a.count == b.count, spec
+
+
+def _power(t):
+    out = 1
+    for j, v in enumerate(t, start=1):
+        out *= v**j
+    return out
+
+
+def _plain_bd(spec):
+    """count_bd written out over itertools.product, the reference."""
+    c1, c2, c3 = spec.coefficients
+
+    def tuples(anchors):
+        return list(product(*(range(int(a) + 1, int(2 * a) + 1) for a in anchors)))
+
+    def plain(t):
+        out = 1
+        for v in t:
+            out *= v
+        return out
+
+    return sum(1 for x, y, z in product(tuples(spec.X), tuples(spec.Y), tuples(spec.Z))
+               if c1 * _power(x) + c2 * _power(y) == c3 * _power(z)
+               and gcd(c1 * plain(x), c2 * plain(y), c3 * plain(z)) == 1)
+
+
+def _random_box(rng, d):
+    """A box around random (x, y, z); every other one is planted on a
+    solution, z = (|c1 x + c2 y|, 1, ..., 1) with c3 its sign, so that some
+    boxes count.  Each anchor is v/2 or v - 1/2, a window holding v."""
+    while True:
+        c1, c2 = rng.choice((-3, -2, -1, 1, 1, 2)), rng.choice((-2, -1, 1, 1, 2, 3))
+        x, y, z = ([rng.randint(1, 6 if j == 0 else 2) for j in range(d)] for _ in "xyz")
+        t = c1 * _power(x) + c2 * _power(y)
+        if t:
+            break
+    if rng.random() < 0.5:
+        c3, z = (1 if t > 0 else -1), [abs(t)] + [1] * (d - 1)
+    else:
+        c3 = rng.choice((-2, -1, 1, 2, 3))
+    around = lambda v: F(v, 2) if rng.random() < 0.5 else v - F(1, 2)
+    return BoxSpec(d=d, coefficients=(c1, c2, c3), X=tuple(map(around, x)),
+                   Y=tuple(map(around, y)), Z=tuple(map(around, z)))
+
+
+def test_bd_strategies_agree_on_random_boxes():
+    # the benchmark's criterion-7 boxes all count 0, so this is where both
+    # strategies meet real hits, with negative coefficients among them
+    rng = random.Random(3131)
+    hits = negative = 0
+    for _ in range(200):
+        spec = _random_box(rng, rng.randint(1, 3))
+        want = _plain_bd(spec)
+        assert count_bd(spec, strategy="nested").count == want, spec
+        assert count_bd(spec, strategy="mitm").count == want, spec
+        hits += want > 0
+        negative += want > 0 and min(spec.coefficients) < 0
+    assert hits >= 15 and negative >= 5, (hits, negative)
 
 
 def test_bd_reads_each_anchor_range_once(monkeypatch):
