@@ -63,13 +63,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import compress
-from math import isqrt, lcm
+from functools import cached_property
+from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .radicals import BudgetExceeded
+from .radicals import BudgetExceeded, primes_to
 
 Rat = Fraction | int
 
@@ -189,28 +188,17 @@ def _fourier(vecs, dn, scale):
     return best, 2 * scale, {"pair": _pair(ui, vi), "m": m_at}
 
 
-@lru_cache(maxsize=64)
-def _primes_to(n: int) -> tuple[int, ...]:
-    """The primes p <= n, by a sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(2)
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return tuple(compress(range(n + 1), sieve))
-
-
 def _class_sums(v) -> list[int]:
     """The pooled divisor classes sum_{p | i} v_i of v, one per prime
-    p <= d, in the order of _primes_to(d).  A composite class never pools
+    p <= d, in the order of primes_to(d).  A composite class never pools
     more than its least prime factor, which comes first in every scan, so
     the primes alone give each core's value and first minimizer."""
-    return [sum(v[p - 1::p]) for p in _primes_to(len(v))]
+    return [sum(v[p - 1::p]) for p in primes_to(len(v))]
 
 
 def _extended_fourier(vecs, dn, scale):
     # per vector: its largest pooled divisor class, and the first i >= 2 at it
-    primes = _primes_to(len(vecs[0]))
+    primes = primes_to(len(vecs[0]))
     pooled = []
     for sums in map(_class_sums, vecs):
         top = max(sums, default=0)
@@ -263,7 +251,7 @@ def _determinant(vecs, dn, scale):
 
 
 def _thue(vecs, dn, scale):
-    primes = _primes_to(len(vecs[0]))
+    primes = primes_to(len(vecs[0]))
     a, b, c = map(_class_sums, vecs)
     sub, at = 0, None
     for ui, vi, su, sv in ((0, 1, a, b), (0, 2, a, c), (1, 2, b, c)):
@@ -621,11 +609,6 @@ def resolve_methods(methods: Sequence[str] | None) -> tuple[str, ...]:
     return names
 
 
-# best_bound looks each evaluator up by its module attribute at call time,
-# so a wrapper installed on abckit.bounds.<m>_bound sees every call
-_EVALUATOR_ATTRS = {name: fn.__name__ for name, fn in EVALUATORS.items()}
-
-
 def best_bound(
     cfg: ExponentConfiguration,
     *,
@@ -638,7 +621,7 @@ def best_bound(
     Geometry runs its branch-and-bound search.
     """
     names = resolve_methods(methods)
-    return best_of(globals()[_EVALUATOR_ATTRS[name]](cfg) for name in names)
+    return best_of(EVALUATORS[name](cfg) for name in names)
 
 
 def best_of(reports: Iterable[BoundReport]) -> BoundReport:

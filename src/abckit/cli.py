@@ -436,6 +436,17 @@ def _add_budget(p) -> None:
                         "the estimate exceeds it (default: ABCKIT_BUDGET or 10^9)")
 
 
+def _add_count(p, func, strategies, strategy_help=None) -> None:
+    """The options every count command takes, after its own arguments:
+    --strategy (the first choice is the default), --budget and --format
+    (csv allowed), and func as its handler."""
+    p.add_argument("--strategy", choices=strategies, default=strategies[0],
+                   help=strategy_help)
+    _add_budget(p)
+    _add_format(p, csv_ok=True)
+    p.set_defaults(func=func)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="abckit",
@@ -493,14 +504,11 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_rational, required=True)
     p.add_argument("--unordered", action="store_true",
                    help="count unordered {a, b} pairs instead of ordered (a, b)")
-    p.add_argument("--strategy", choices=["ca", "ab"], default="ca",
-                   help="ca: brute-force scan of every unordered pair "
-                        "{a, c - a}, about X^2/4 candidates, behind an exact "
-                        "bit-length prefilter; ab: enumeration by small radical, "
-                        "about 10^6 candidates at X = 10^5, lambda = 1")
-    _add_budget(p)
-    _add_format(p, csv_ok=True)
-    p.set_defaults(func=_cmd_count_nlambda)
+    _add_count(p, _cmd_count_nlambda, ["ca", "ab"],
+               "ca: brute-force scan of every unordered pair "
+               "{a, c - a}, about X^2/4 candidates, behind an exact "
+               "bit-length prefilter; ab: enumeration by small radical, "
+               "about 10^6 candidates at X = 10^5, lambda = 1")
 
     p = csub.add_parser(
         "s", help="triples with per-member radical constraints",
@@ -513,10 +521,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--gamma", type=_rational, required=True)
     p.add_argument("--star", action="store_true")
-    p.add_argument("--strategy", choices=["ca", "ab"], default="ca")
-    _add_budget(p)
-    _add_format(p, csv_ok=True)
-    p.set_defaults(func=_cmd_count_s)
+    _add_count(p, _cmd_count_s, ["ca", "ab"])
 
     p = csub.add_parser(
         "debruijn", help="integers with a small radical",
@@ -525,11 +530,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    p.add_argument("--strategy", choices=["scan", "radical-first"],
-                   default="scan")
-    _add_budget(p)
-    _add_format(p, csv_ok=True)
-    p.set_defaults(func=_cmd_count_debruijn)
+    _add_count(p, _cmd_count_debruijn, ["scan", "radical-first"])
 
     p = csub.add_parser(
         "bd", help="dyadic-box solutions of the reduced equation",
@@ -539,10 +540,7 @@ def build_parser() -> _Parser:
                     "and may be given as coefficients instead.",
     )
     p.add_argument("--spec", required=True, help="path to the BoxSpec JSON file")
-    p.add_argument("--strategy", choices=["mitm", "nested"], default="mitm")
-    _add_budget(p)
-    _add_format(p, csv_ok=True)
-    p.set_defaults(func=_cmd_count_bd)
+    _add_count(p, _cmd_count_bd, ["mitm", "nested"])
 
     p = csub.add_parser(
         "ternary", help="ternary equations in boxes",
@@ -554,11 +552,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coefficients", type=_int_triple, required=True,
                    metavar="A1,A2,A3")
     p.add_argument("--limits", type=_int_triple, required=True, metavar="X,Y,Z")
-    p.add_argument("--strategy", choices=["solve-z", "nested"],
-                   default="solve-z")
-    _add_budget(p)
-    _add_format(p, csv_ok=True)
-    p.set_defaults(func=_cmd_count_ternary)
+    _add_count(p, _cmd_count_ternary, ["solve-z", "nested"])
 
     bounds = sub.add_parser("bounds", help="exponent-bound evaluators")
     bsub = bounds.add_subparsers(dest="bounds_kind", metavar="KIND")

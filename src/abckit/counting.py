@@ -305,7 +305,9 @@ def _exceptional_ab(X: int, p: int, q: int, ordered: bool, budget: int) -> int:
     Every table is a flat array of machine words, about 12 bytes per n:
     the radicals, the members ordered by radical (a counting sort), and
     the class offsets.  The budget is checked before the member index is
-    built."""
+    built.  The distinct-prime sieve is its own, not radicals.primes_to:
+    'ca' reads build_radical_table, which sieves with primes_to, and the
+    two strategies share no radical source."""
     if X > budget:
         # the sieve alone exceeds the budget: refuse before allocating it,
         # with the table-free bound on sieve entries plus members walked
@@ -459,7 +461,10 @@ def count_radical_bounded(
     <= t).  At each r it counts the n <= x of radical exactly r, n = r * m
     with m built from the primes of r, spreading the exponents over the
     largest prime first.  Its budget (t + x) is checked before the sieve
-    is built.
+    is built.  The sieve is not radicals.primes_to: the strategies share
+    no plumbing, so 'scan' (whose radical_segments reads primes_to) stays
+    a cross-check, and t bytes are smaller than a cached tuple of the
+    primes up to t.
 
     Since rad(n) <= n <= x, every lam >= 1 counts as lam = 1, and a
     lam = p/q with 2 * p * bitlen(x) <= q counts as 0, and a power past the

@@ -6,16 +6,18 @@ segmented prime-power division sieve, which yields rad(n) in blocks of
 SEGMENT machine words and holds only one block and the prime powers up to
 the limit (radical_segments; build_radical_table gathers the blocks into
 one flat table), and a single argument is fully factored with trial
-division plus deterministic primality testing.  No probabilistic shortcut
-is ever allowed to decide a count: above the proven Miller-Rabin bound a
-prime cannot be certified here, so factorize refuses with BudgetExceeded
-rather than search for ever.
+division plus deterministic primality testing.  primes_to(n) is the one
+sieve of Eratosthenes that the radical sieve and the bound evaluators
+share.  No probabilistic shortcut is ever allowed to decide a count:
+above the proven Miller-Rabin bound a prime cannot be certified here, so
+factorize refuses with BudgetExceeded rather than search for ever.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
 from operator import floordiv
 
@@ -67,6 +69,17 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"{operation}: {detail}")
 
 
+@lru_cache(maxsize=64)
+def primes_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(compress(range(n + 1), sieve))
+
+
 def radical_segments(limit: int):
     """rad(n) for 1 <= n <= limit, yielded block by block as (lo, block)
     with block[i] = rad(lo + i), each an array('Q').  Block k covers
@@ -84,13 +97,8 @@ def radical_segments(limit: int):
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    root = isqrt(limit)
-    unmarked = bytearray([1]) * (root + 1)
     powers = []  # (p**k, p), ascending in p**k
-    for p in range(2, root + 1):
-        if not unmarked[p]:
-            continue
-        unmarked[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+    for p in primes_to(isqrt(limit)):
         pk = p * p
         while pk <= limit:
             powers.append((pk, p))
@@ -206,7 +214,10 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Exact prime factorization {p: exponent} of n >= 1.
 
-    Trial division walks the mod-30 wheel up to _TRIAL_CAP in blocks; a
+    Trial division walks the mod-30 wheel up to _TRIAL_CAP in blocks,
+    never primes_to: a sieve that lost a prime (say 7) would then give the
+    same wrong radical (49 for 49) through both factorize and
+    radical_segments, and their agreement would prove nothing.  A
     block that lies wholly below sqrt(n) and is coprime to n (one gcd with
     the product of its candidates) is skipped, since none of its
     candidates divides n.  Every other block, so every block for small n,

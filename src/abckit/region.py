@@ -435,17 +435,16 @@ def _to_config(vecs, scale: int, delta: Fraction, epsilon: Fraction, d: int):
 def _region(d: int, delta: Fraction, epsilon: Fraction, grid: int | None):
     """The one rule for a region query: its _windows_for windows, or why the
     region is empty (a str): an empty C4 totals window on the lattice, or
-    C4 upper bounds too small for any pair of totals to meet C2 (compared
-    exactly, so a coarse grid that only its rounding empties is left to
-    the sampler).  Refuses d < 1, negative slacks, and d < 3 unless
-    W_c <= d * T_c <= d * C4-c-upper < C1-weighted-c-lower proves it
-    empty."""
+    C4 upper bounds on the lattice too small for any pair of totals to
+    meet C2 there.  Refuses d < 1, negative slacks, and d < 3 unless
+    W_c <= d * T_c <= d * C4-c-upper < C1-weighted-c-lower, on the exact
+    bounds, proves it empty."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if delta < 0 or epsilon < 0:
         raise ValueError("delta and epsilon must be non-negative")
-    rhs = dict(zip((row.name for row in ROWS), _row_bounds(delta, epsilon)))
     if d < 3:
+        rhs = dict(zip((row.name for row in ROWS), _row_bounds(delta, epsilon)))
         if d * rhs["C4-c-upper"] >= rhs["C1-weighted-c-lower"]:
             raise ValueError(
                 "d < 3 is only supported where the weighted-capacity argument "
@@ -455,8 +454,8 @@ def _region(d: int, delta: Fraction, epsilon: Fraction, grid: int | None):
     if win.tot_lo > win.tot_hi:
         lo, hi = (format_rational(F(t, win.scale)) for t in (win.tot_lo, win.tot_hi))
         return f"region empty at d={d}: the C4 totals window [{lo}, {hi}] is empty"
-    if 2 * rhs["C4-a-upper"] < rhs["C2-ab"]:
-        hi, lo = map(format_rational, (rhs["C4-a-upper"], rhs["C2-ab"]))
+    if 2 * win.tot_hi < win.pair_lo:
+        hi, lo = (format_rational(F(t, win.scale)) for t in (win.tot_hi, win.pair_lo))
         return (f"region empty at d={d}: two C4 totals of at most {hi} cannot "
                 f"reach the C2 pair bound {lo}")
     return win
@@ -474,8 +473,9 @@ def sample_feasible(
     """Deterministic feasible samples (the same arguments always return the
     same list).  Corner generators lead, then lattice rejection sampling.
 
-    The query follows maximize_nu's rule (_region); an empty region raises
-    ValueError with the reason maximize_nu reports.  May return fewer than
+    The query follows maximize_nu's rule (_region); a region empty on the
+    lattice, the caller's grid included, raises ValueError with the reason
+    maximize_nu reports.  May return fewer than
     count (with a warning) if the region is thin at these parameters;
     entries are multiples of 1/grid when grid is given.
     """

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,31 @@ def test_verdict_refuses_fewer_than_ten_pairs():
     assert bench_pairs.verdict(PARENT[:9], [0.0890] * 9, "lower") == "too few pairs"
     with pytest.raises(ValueError):
         bench_pairs.verdict(PARENT, [0.0890] * 9, "lower")
+
+
+def _stdout(digest, work, failed, attempted, wall_s=0.09):
+    """bench/run.py's stdout: a report line, the run record, the result."""
+    record = {"workload": "replay", "seed": 1, "work": work, "digest": digest}
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}
+    return "\n".join(["replay: seed 1, 3 runs", json.dumps(record), json.dumps(result)])
+
+
+def test_parse_run_reads_the_record_and_the_result():
+    run = bench_pairs.parse_run(_stdout("ab12", {"calls": 290}, 1, 40, wall_s=0.0878))
+    assert run == {"metrics": {"wall_s": 0.0878}, "digest": "ab12",
+                   "work": {"calls": 290}, "failed": 1, "attempted": 40}
+
+
+def test_compare_outputs_checks_digest_and_work_apart():
+    parse = bench_pairs.parse_run
+    parent = parse(_stdout("ab12", {"calls": 290}, 0, 40))
+    same = bench_pairs.compare_outputs(parent, parse(_stdout("ab12", {"calls": 290}, 0, 41)))
+    assert same == {"digest": True, "work": True, "identical": True,
+                    "failed": (0, 0), "attempted": (40, 41)}
+    assert bench_pairs.outputs_line(same) == "digest equal, work equal, failed 0/40 -> 0/41"
+    work = bench_pairs.compare_outputs(parent, parse(_stdout("ab12", {"calls": 291}, 2, 40)))
+    assert (work["digest"], work["work"], work["identical"]) == (True, False, False)
+    assert bench_pairs.outputs_line(work) == "digest equal, work DIFFERS, failed 0/40 -> 2/40"
+    digest = bench_pairs.compare_outputs(parent, parse(_stdout("cd34", {"calls": 290}, 0, 40)))
+    assert (digest["digest"], digest["work"], digest["identical"]) == (False, True, False)

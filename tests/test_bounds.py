@@ -629,7 +629,7 @@ def test_resolve_methods_refuses_a_repeated_name():
             best_bound(zeros(3), methods=methods)
 
 
-def test_best_bound_calls_every_method_through_its_module_attribute(monkeypatch):
+def test_best_bound_calls_every_method_through_the_registry(monkeypatch):
     import abckit.bounds as B
 
     cfg = cfg_of([F(1, 10), F(1, 5)], [F(1, 10), F(1, 5)], [F(3, 10), F(0)])
@@ -644,8 +644,7 @@ def test_best_bound_calls_every_method_through_its_module_attribute(monkeypatch)
         return wrapper
 
     for name in names:
-        attr = name.replace("-", "_") + "_bound"
-        monkeypatch.setattr(B, attr, counted(name, getattr(B, attr)))
+        monkeypatch.setitem(B.EVALUATORS, name, counted(name, B.EVALUATORS[name]))
     got = best_bound(cfg, methods=names)
     assert calls == dict.fromkeys(names, 1)
     assert (got.value, got.witness) == (want.value, want.witness)

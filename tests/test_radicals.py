@@ -15,6 +15,7 @@ from abckit.radicals import (
     build_radical_table,
     factorize,
     is_squarefree,
+    primes_to,
     radical,
     radical_segments,
 )
@@ -30,6 +31,15 @@ def naive_radical(n):
                 n //= f
         f += 1
     return r * n if n > 1 else r
+
+
+def test_primes_to_matches_trial_division():
+    primes = []  # the primes <= n, each tested by bare trial division
+    for n in range(2001):
+        if n >= 2 and all(n % f for f in range(2, n) if f * f <= n):
+            primes.append(n)
+        assert primes_to(n) == tuple(primes), n
+    assert primes_to(0) == primes_to(1) == () and primes_to(2) == (2,)
 
 
 def test_radical_small_frozen():

@@ -12,7 +12,13 @@ from random import Random
 import pytest
 
 import abckit.region as region
-from abckit.bounds import ExponentConfiguration, best_bound
+from abckit.bounds import (
+    EVALUATORS,
+    EXTENDED_METHOD,
+    METHOD_NAMES,
+    ExponentConfiguration,
+    best_bound,
+)
 from abckit.cases import TRIANGLE_VERTICES
 from abckit.region import (
     ROWS,
@@ -211,10 +217,14 @@ def test_sampler_argument_errors():
 
 
 def test_sampler_thin_region_returns_what_it_found():
-    # on the 1/25 lattice at d = 3 no draw is feasible: an empty list and
-    # a warning, not an error
-    with pytest.warns(UserWarning, match="sampler returned 0/3"):
-        assert sample_feasible(3, F(0), F(0), 3, seed=0, grid=25) == []
+    # on the 1/25 lattice at d = 3 the rounded C4 totals (at most 8/25)
+    # cannot meet the rounded C2 pair bound (17/25): refused at once, with
+    # no draws (a thin region that is not empty still warns; see the
+    # "sampler returned 1/3" case below)
+    with pytest.raises(ValueError) as exc:
+        sample_feasible(3, F(0), F(0), 3, seed=0, grid=25)
+    assert str(exc.value) == ("region empty at d=3: two C4 totals of at most "
+                              "8/25 cannot reach the C2 pair bound 17/25")
 
 
 def test_hinge_start_is_skipped_above_the_totals_window():
@@ -331,6 +341,47 @@ def test_search_report_pinned_d8():
     assert (rep.samples, rep.feasible) == (2217, 2048)
     assert rep.method_wins == {"fourier": 8, "geometry": 2037, "thue": 3}
     assert best_bound(rep.argmax).value == rep.maximum
+
+
+# Exact feasible points found offline (pattern LP, then rounded onto the
+# sampler's lattice), entries in units of 1/3,000,000 at delta = epsilon =
+# 1/1000: (a, b, c, the methods, their best value)
+_EXACT_POINTS = {
+    "d4-five": ((0, 304222, 422176, 281257), (155731, 0, 422175, 394436),
+                (89637, 169768, 422177, 326074),
+                METHOD_NAMES, F(372293, 600000)),
+    "d5-five": ((104259, 165240, 386703, 351288, 0),
+                (0, 318677, 392602, 296210, 0),
+                (5901, 144741, 702582, 0, 119374),
+                METHOD_NAMES, F(31193, 50000)),
+    "d4-six": ((56918, 91236, 777895, 68263), (0, 370661, 370289, 279053),
+               (190817, 0, 370289, 424579),
+               (*METHOD_NAMES, EXTENDED_METHOD), F(370963, 600000)),
+}
+
+# the pinned search maxima at delta = epsilon = 1/1000: criterion 5 at
+# d = 6, and test_search_report_pinned_d8
+_SEARCH_MAXIMA = {6: F(882971, 1_500_000), 8: F(1705087, 3_000_000)}
+
+
+@pytest.mark.parametrize("key", sorted(_EXACT_POINTS))
+def test_exact_points_stay_feasible_and_exact_under_zero_padding(key):
+    *vecs, methods, value = _EXACT_POINTS[key]
+    d0 = len(vecs[0])
+    want = None
+    for d in range(d0, 11):
+        a, b, c = (tuple(F(x, 3_000_000) for x in v) + (F(0),) * (d - d0)
+                   for v in vecs)
+        cfg = ExponentConfiguration(d=d, a=a, b=b, c=c, delta=MILLI, epsilon=MILLI)
+        assert check_constraints(cfg).feasible, d
+        values = {name: EVALUATORS[name](cfg).value for name in methods}
+        if want is None:
+            want = values
+        # padding with zero classes changes no method's value
+        assert values == want, d
+        best = best_bound(cfg, methods=methods).value
+        assert best == value == min(values.values()), d
+        assert best >= _SEARCH_MAXIMA.get(d, 0), d
 
 
 def test_search_report_pinned_custom_order():

@@ -1,8 +1,11 @@
 """Paired benchmark runs of two checkouts, with the gain verdict.
 
 Runs ``bench/run.py --trace 0`` once per seed and workload in each of two
-checkouts, the parent and the change, alternating which side runs first,
-and prints, per workload and end-to-end metric of BENCHMARK.json:
+checkouts, the parent and the change, alternating which side runs first.
+Per seed it prints each side's end-to-end metrics, whether the change's
+output ``digest`` and ``work`` counters equal the parent's, and each side's
+failed and attempted operations; per workload, how many seeds gave
+identical outputs and, per end-to-end metric of BENCHMARK.json:
 
 - each side's median and quartiles over the pairs;
 - the change's wins, ties counting for neither side;
@@ -64,24 +67,51 @@ def verdict(parent: list[float], change: list[float], better: str) -> str:
     return "gain" if won and gap > q3 - q1 else "no gain"
 
 
+def parse_run(stdout: str) -> dict:
+    """One run of bench/run.py, read from its stdout: the end-to-end metric
+    values, the output ``digest`` and ``work`` counters of the run record
+    (the second-to-last line) and the ``failed`` and ``attempted``
+    operations of the result (the last line)."""
+    *_, record, result = stdout.splitlines()
+    record, result = json.loads(record), json.loads(result)
+    return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "digest": record["digest"], "work": record["work"],
+            "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def compare_outputs(parent: dict, change: dict) -> dict:
+    """Whether the change's run repeated the parent's outputs (``digest``
+    and ``work`` each compared, ``identical`` when both are equal), and
+    each side's failed and attempted operations."""
+    digest, work = (parent[k] == change[k] for k in ("digest", "work"))
+    return {"digest": digest, "work": work, "identical": digest and work,
+            "failed": (parent["failed"], change["failed"]),
+            "attempted": (parent["attempted"], change["attempted"])}
+
+
+def outputs_line(cmp: dict) -> str:
+    """compare_outputs' verdict on one seed, as one line of text."""
+    same = {True: "equal", False: "DIFFERS"}
+    (pf, cf), (pa, ca) = cmp["failed"], cmp["attempted"]
+    return (f"digest {same[cmp['digest']]}, work {same[cmp['work']]}, "
+            f"failed {pf}/{pa} -> {cf}/{ca}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metric values of one untraced run in checkout."""
+    """One untraced run in checkout, as parse_run reads it."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if not result["correct"]:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} failed "
-                           f"{result['failed']} of {result['attempted']} operations")
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    return parse_run(proc.stdout)
 
 
 def report(workload: str, metrics: list[dict], parent: list[dict], change: list[dict]) -> None:
-    print(f"{workload}: {len(parent)} pairs")
+    same = sum(compare_outputs(p, c)["identical"] for p, c in zip(parent, change))
+    print(f"{workload}: {len(parent)} pairs, identical outputs in {same} of {len(parent)} seeds")
     for m in metrics:
         name, better = m["name"], m["better"]
-        pv, cv = [r[name] for r in parent], [r[name] for r in change]
+        pv, cv = [r["metrics"][name] for r in parent], [r["metrics"][name] for r in change]
         pq, cq = quartiles(pv), quartiles(cv)
         rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
         worse = rel if better == "lower" else -rel
@@ -108,9 +138,11 @@ def main(argv=None) -> int:
             sides = [(args.parent, parent), (args.change, change)]
             for checkout, out in sides if k % 2 == 0 else sides[::-1]:
                 out.append(run_once(checkout, workload, seed, args.seconds))
+            pm, cm = parent[-1]["metrics"], change[-1]["metrics"]
             print(f"{workload} seed {seed}: " + ", ".join(
-                f"{m['name']} {parent[-1][m['name']]:.4g} -> {change[-1][m['name']]:.4g}"
-                for m in metrics), flush=True)
+                f"{m['name']} {pm[m['name']]:.4g} -> {cm[m['name']]:.4g}"
+                for m in metrics) + "; " + outputs_line(
+                    compare_outputs(parent[-1], change[-1])), flush=True)
         report(workload, metrics, parent, change)
     return 0
 
