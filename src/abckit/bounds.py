@@ -51,7 +51,11 @@ The search counts steps, each node it searches and each item a
 completion-bound scan reads, and refuses with BudgetExceeded past
 COVER_NODE_CAP of them, so the cap bounds its time, not only its nodes.
 
-Given a floor, fast_best may stop a geometry search early: the winning
+Given a floor, fast_best decides in up to three stages.  First, in O(d):
+lower bounds on the other methods from each vector's sum, maximum and
+class-1 entry, against one greedy cover taken in rate order; then the
+exact cores, determinant still by its O(d) bound, against a geometry
+search that stops under their cap; last, the exact minimum.  The winning
 method stays exact, and so does any value at or above the floor, while a
 value below it is only an upper bound that is itself below the floor.  A
 search for the largest value never keeps such a sample, so its result is
@@ -798,12 +802,76 @@ def evaluate_at(cfg: ExponentConfiguration, method: str, witness: dict) -> Fract
 # --- bulk search on a caller's grid --------------------------------------------
 
 
-def _determinant_floor(vecs, dn, scale):
-    """A lower bound on the determinant core's value in O(d):
-    min(u_p/q, v_q/p) >= 0, so every term is at least 1 + delta minus the
-    two largest vector maxima."""
-    tops = sorted(max(v) for v in vecs)
-    return scale + dn - tops[1] - tops[2], scale
+def _lower_bounds(vecs, dn, scale) -> dict[str, tuple[int, int]]:
+    """Lower bounds (numerator, denominator) on the trivial, fourier,
+    determinant and thue cores' values, in O(d) from each vector's sum T,
+    maximum M and class-1 entry:
+
+      trivial      the least T_u + T_v over pairs: its exact value
+      fourier      (1 + delta + the second least T - M) / 2: with m the
+                   subtracted class, sum_{i != m} max(u_i, v_i) is at least
+                   T_u - M_u and T_v - M_v
+      determinant  1 + delta minus the two largest maxima, since
+                   min(u_p / q, v_q / p) >= 0
+      thue         1 + delta minus the two largest T - (class-1 entry): no
+                   class p >= 2 pools class 1
+    """
+    a, b, c = vecs
+    ta, tb, tc = sum(a), sum(b), sum(c)
+    ma, mb, mc = max(a), max(b), max(c)
+    head = scale + dn
+    rest = sorted((ta - ma, tb - mb, tc - mc))
+    tops = sorted((ma, mb, mc))
+    pooled = sorted((ta - a[0], tb - b[0], tc - c[0]))
+    return {"trivial": (ta + tb + tc - max(ta, tb, tc), scale),
+            "fourier": (head + rest[1], 2 * scale),
+            "determinant": (head - tops[1] - tops[2], scale),
+            "thue": (head - pooled[1] - pooled[2], scale)}
+
+
+def _greedy_cover(entries: Sequence[tuple[int, ...]], target: int) -> int:
+    """An upper bound on the cover minimum of _cover_branch_bound in O(d):
+    max(target, W) - S at one subset triple.
+
+    The triple takes every class-1 entry, then whole classes in rate order
+    while each leaves some deficit.  In the class that would cover it, it
+    takes entries largest first, and ends either at the entry that covers
+    the deficit or just before it, whichever is cheaper: the best prefix of
+    that order, the empty one (nothing beyond class 1) included, since
+    before that entry each entry taken lowers the value."""
+    a, b, c = entries
+    rem = target - a[0] - b[0] - c[0]
+    if rem <= 0:
+        return 0
+    cost = 0
+    for i in range(2, len(a) + 1):
+        col = (a[i - 1], b[i - 1], c[i - 1])
+        s = col[0] + col[1] + col[2]
+        if i * s < rem:
+            cost += (i - 1) * s
+            rem -= i * s
+            continue
+        for v in sorted(col, reverse=True):
+            if i * v >= rem:
+                return cost + min(rem, (i - 1) * v)
+            cost += (i - 1) * v
+            rem -= i * v
+    return cost + rem
+
+
+def _cover_limit(limit: int, names, values, dn: int, scale: int) -> int:
+    """The largest cover c, at most limit, with (dn + c) / scale below the
+    value num / den of values[name] for each name listed before geometry
+    and at most it for each one after: a cover under it makes geometry
+    the winner."""
+    strict = True
+    for name in names:
+        if name == "geometry":
+            strict = False
+            continue
+        num, den = values[name]
+        limit = min(limit, (num * scale - strict) // den - dn)
+    return limit
 
 
 def fast_best(
@@ -824,35 +892,49 @@ def fast_best(
     ``floor = (num, den)`` is for callers that only need to know whether
     the minimum reaches num/den.  The method name is always exact, and so
     is the value whenever it is >= the floor.  Below the floor the value
-    may be any upper bound v on the minimum with v < floor: geometry's
-    search stops at the first subset triple under a cap taken from the
-    floor and every other listed method, determinant through its O(d)
-    _determinant_floor.  The cap is strict for the floor and the methods
-    listed before geometry, non-strict for those after it.
+    may be any upper bound v on the minimum with v < floor.  When geometry
+    is listed, a floor runs three stages, each only if the one before could
+    not decide:
+
+    1. O(d): _lower_bounds gives trivial's value and bounds fourier,
+       determinant and thue from below from sums and maxima; a method
+       with no such bound (extended-fourier) runs its exact core.
+       Geometry wins, at _greedy_cover's value, if that cover is under the
+       cap these values and the floor leave.
+    2. Every method but determinant runs its exact core, determinant
+       keeps its O(d) bound, and geometry's search stops at the first
+       subset triple under the cap they leave.
+    3. The exact minimum over every listed method.
+
+    A cover under the cap is below the floor and wins, since each bound is
+    at most its method's value.  The cap is strict for the floor and the
+    methods listed before geometry, non-strict for those after it.  Stage
+    1 decides most samples of a region search, where geometry usually
+    wins by a margin.
     """
     names = METHOD_NAMES if methods is None else methods
-    values: dict[str, tuple] = {}  # name: (num, den, witness)
+    values: dict[str, tuple[int, int]] = {}  # name: exact (num, den)
     if floor is not None and "geometry" in names:
-        # the largest cover c with (delta_num + c) / scale < num / den for the
-        # floor and each method before geometry, <= for those after it
-        limit = (floor[0] * scale - 1) // floor[1] - delta_num
-        strict = True
+        top = (floor[0] * scale - 1) // floor[1] - delta_num  # the floor's cap
+        lower = _lower_bounds(vecs, delta_num, scale)
         for name in names:
-            if name == "geometry":
-                strict = False
-                continue
-            if name == "determinant":
-                num, den = _determinant_floor(vecs, delta_num, scale)
-            else:
-                num, den, _ = values[name] = _METHODS[name][0](vecs, delta_num, scale)
-            limit = min(limit, (num * scale - strict) // den - delta_num)
+            if name != "geometry" and name not in lower:
+                values[name] = _METHODS[name][0](vecs, delta_num, scale)[:2]
+        cover = _greedy_cover(vecs, scale)
+        if cover <= _cover_limit(top, names, {**lower, **values}, delta_num, scale):
+            return delta_num + cover, scale, "geometry"
+        for name in names:
+            if name not in values and name not in ("geometry", "determinant"):
+                values[name] = _METHODS[name][0](vecs, delta_num, scale)[:2]
+        limit = _cover_limit(top, names, {**values, "determinant": lower["determinant"]},
+                             delta_num, scale)
         cover, _ = _cover_branch_bound(vecs, scale, stop_at=limit)
         if cover <= limit:
             return delta_num + cover, scale, "geometry"
-        values["geometry"] = (delta_num + cover, scale, None)
+        values["geometry"] = (delta_num + cover, scale)
     best = None  # (num, den, name)
     for name in names:
-        num, den, _ = values.get(name) or _METHODS[name][0](vecs, delta_num, scale)
+        num, den = values.get(name) or _METHODS[name][0](vecs, delta_num, scale)[:2]
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, name)
     return best

@@ -381,9 +381,11 @@ def count_s(
     pairs that pass.  'ca' sweeps c over the sieve table and tests a whole
     row at once: the a- and the reversed b-table are each packed once as one
     byte per n in an integer, so one shift and one AND give, for every a,
-    whether a and c - a pass.  'ab' keeps the per-element form: it sweeps
-    a, then b, pair by pair over a plain trial-division radical.  Negative
-    exponents are refused.
+    whether a and c - a pass.  The a that pass are read off the row by
+    compress when more than one byte in eight is set, else by a bytes.find
+    walk (_ones) that skips the runs of zeros.  'ab' keeps the per-element
+    form: it sweeps a, then b, pair by pair over a plain trial-division
+    radical.  Negative exponents are refused.
 
     Every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
     (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
@@ -422,7 +424,7 @@ def count_s(
             # byte a of the row is ok_a[a] and ok_b[c - a]; bytes 0 and c are
             # 0, since entry 0 never passes
             row = (A & B >> 8 * (X - c)).to_bytes(c + 1, "little")
-            hits = compress(range(c + 1), row)
+            hits = compress(range(c + 1), row) if 8 * row.count(1) > c else _ones(row)
             count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
         rads = [0] + [_trial_radical(n) for n in range(1, X + 1)]

@@ -15,8 +15,11 @@ from abckit.bounds import (
     VECTOR_NAMES,
     ExponentConfiguration,
     SubsetSearchRefusal,
+    _METHODS,
     _cover_branch_bound,
     _cover_exhaustive,
+    _greedy_cover,
+    _lower_bounds,
     _mask_to_classes,
     best_bound,
     determinant_bound,
@@ -829,6 +832,97 @@ def test_fast_best_floor_contract():
                     assert value <= F(again[0], again[1]) < bound or again == exact
     # the early exit is exercised, not just the exact path
     assert below_floor > 150
+
+
+def _greedy_masks(entries, target):
+    """The subset triple _greedy_cover describes, as masks: the class-1
+    entries, then whole classes from class 2 up while each leaves some
+    deficit, then the covering class's entries largest first (vector order
+    on a tie), ending at the entry that covers the deficit or just before
+    it, whichever leaves the lower cost."""
+    masks = [1, 1, 1]
+    rem = target - sum(vec[0] for vec in entries)
+    for i in range(2, len(entries[0]) + 1):
+        if rem <= 0:
+            break
+        col = [(vec[i - 1], vi) for vi, vec in enumerate(entries)]
+        whole = i * sum(v for v, _ in col)
+        if whole < rem:
+            masks = [m | 1 << (i - 1) for m in masks]
+            rem -= whole
+            continue
+        for v, vi in sorted(col, key=lambda t: (-t[0], t[1])):
+            if i * v >= rem and (i - 1) * v >= rem:
+                break  # leaving the deficit open is no dearer
+            masks[vi] |= 1 << (i - 1)
+            rem -= i * v
+            if rem <= 0:
+                break
+        break  # this class covers the deficit, or ends just before
+    return tuple(masks)
+
+
+def test_o_d_bounds_bracket_the_exact_cores():
+    """Each O(d) lower bound is at most its core's value (trivial's is
+    equal), and the greedy cover is at least the searched optimum and is
+    attained by a real subset triple, replayed through evaluate_at."""
+    rng = random.Random(3303)
+    replays = {name: _METHODS[name][0] for name in ("trivial", "fourier",
+                                                   "determinant", "thue")}
+    for _ in range(1500):
+        grid = rng.choice((12, 60, 3_000))  # coarse grids make ties common
+        d = rng.randint(1, 12)
+        top = rng.choice((grid // 3, grid // 12 or 1, grid))
+        vecs = tuple(
+            tuple(rng.choice((0, 0, rng.randint(0, top))) for _ in range(d))
+            for _ in range(3)
+        )
+        dn = rng.choice((0, rng.randint(0, grid // 10)))
+        lower = _lower_bounds(vecs, dn, grid)
+        assert set(lower) == set(replays)
+        for name, core in replays.items():
+            num, den, _ = core(vecs, dn, grid)
+            lo = F(*lower[name])
+            assert lo <= F(num, den), (name, vecs, dn, grid)
+            if name == "trivial":
+                assert lo == F(num, den)
+        greedy = _greedy_cover(vecs, grid)
+        assert greedy >= _cover_branch_bound(vecs, grid)[0], (vecs, grid)
+        cfg = cfg_of(*(tuple(F(x, grid) for x in vec) for vec in vecs),
+                     delta=F(dn, grid))
+        witness = dict(zip(("I", "Ip", "Ipp"),
+                           map(_mask_to_classes, _greedy_masks(vecs, grid))))
+        assert evaluate_at(cfg, "geometry", witness) == F(dn + greedy, grid), (vecs, grid)
+
+
+class _CoreCalled(AssertionError):
+    """A core or the cover search ran where the O(d) stage should decide."""
+
+
+def test_floored_region_samples_decided_in_o_d(monkeypatch):
+    """On region samples, a floor of 1/2 lies below every other method's
+    O(d) bound while the greedy cover lies under it, so a floored fast_best
+    names geometry without running any core or the cover search."""
+    cfgs = sample_feasible(6, F(1, 1000), F(1, 1000), 40, seed=1)
+    exact = [fast_best(*cfg.grid) for cfg in cfgs]
+    floor = F(1, 2)
+
+    def refuse(*args, **kwargs):
+        raise _CoreCalled
+
+    monkeypatch.setattr("abckit.bounds._cover_branch_bound", refuse)
+    for name, (_, replay) in list(_METHODS.items()):
+        monkeypatch.setitem(_METHODS, name, (refuse, replay))
+    decided = 0
+    for cfg, (num, den, method) in zip(cfgs, exact):
+        try:
+            got = fast_best(*cfg.grid, floor=(floor.numerator, floor.denominator))
+        except _CoreCalled:
+            continue
+        decided += 1
+        assert got[2] == method == "geometry"
+        assert F(num, den) <= F(got[0], got[1]) < floor
+    assert decided >= 30  # 33 of the 40 samples
 
 
 def _triple_loop_cover(entries, target):

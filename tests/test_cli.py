@@ -1024,6 +1024,15 @@ _GOLDEN = {  # name: (argv, exit code, sha256 of stdout)
         ("verify", "region", "--d", "6", "--delta", "1/1000",
          "--epsilon", "1/1000", "--samples", "2000", "--format", "table"),
         0, "4f05c197278d989f82d7edf903ed4cc4f4b6c67bd89d68199ecf668de8c9ad3c"),
+    "region-d10-json": (
+        ("verify", "region", "--d", "10", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--samples", "400"),
+        0, "bed9787f1ff8f68b20d39531aaf2f299a05c348a0c6368969810e980b7d2f900"),
+    "region-six-methods-json": (
+        ("verify", "region", "--d", "6", "--delta", "1/1000",
+         "--epsilon", "1/1000", "--samples", "400", "--methods",
+         "trivial,fourier,geometry,determinant,thue,extended-fourier"),
+        0, "c4ed027383d5bfabfc2d566005bf2fa79371e4a0ce4e8957d4e6bed0cf77b48f"),
     # d = 3 at epsilon 1/50: a window left to search, but no draw lands in it
     "region-thin-json": (
         ("verify", "region", "--d", "3", "--delta", "0",
