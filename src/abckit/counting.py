@@ -34,7 +34,7 @@ from operator import and_, mul
 
 from .exact import (check_power, cmp_pow, dyadic_range, exact_root,
                     format_rational, iroot)
-from .radicals import BudgetExceeded, build_radical_table, radical_segments
+from .radicals import BudgetExceeded, build_radical_table, radical, radical_segments
 
 DEFAULT_BUDGET = 10**9
 
@@ -172,19 +172,6 @@ def _saturated(e: Fraction, X: int, top: int, operation: str) -> Fraction:
         e = Fraction(0)
     check_power(operation, X, max(e.numerator, e.denominator))
     return e
-
-
-def _trial_radical(n: int) -> int:
-    """rad(n) by bare trial division -- deliberately independent of the
-    sieve used by the 'ca' strategies."""
-    r, f = 1, 2
-    while f * f <= n:
-        if n % f == 0:
-            r *= f
-            while n % f == 0:
-                n //= f
-        f += 1
-    return r * n if n > 1 else r
 
 
 # --- exceptional abc triples -------------------------------------------------
@@ -384,8 +371,10 @@ def count_s(
     whether a and c - a pass.  The a that pass are read off the row by
     compress when more than one byte in eight is set, else by a bytes.find
     walk (_ones) that skips the runs of zeros.  'ab' keeps the per-element
-    form: it sweeps a, then b, pair by pair over a plain trial-division
-    radical.  Negative exponents are refused.
+    form: it sweeps a, then b, pair by pair, and takes each radical from
+    radicals.radical, whose trial division walks factorize's mod-30 wheel
+    and never reads primes_to, so the strategies share no prime list.
+    Negative exponents are refused.
 
     Every test saturates at exponent 1: rad(n) <= n <= n**e, and the window
     (X**e, 2 X**e] holds no radical <= X once e >= 1 (at X = 1 it does not
@@ -427,7 +416,7 @@ def count_s(
             hits = compress(range(c + 1), row) if 8 * row.count(1) > c else _ones(row)
             count += list(map(gcd, hits, repeat(c))).count(1)  # gcd(a, c - a) = gcd(a, c)
     else:
-        rads = [0] + [_trial_radical(n) for n in range(1, X + 1)]
+        rads = [0, *map(radical, range(1, X + 1))]
         ok_a, ok_b, ok_c = (member_tests(rads, e) for e in exps)
         for a in compress(range(1, X), ok_a[1:X]):
             # b runs up from b0 while c = a + b runs up from a + b0 to X

@@ -27,14 +27,16 @@ managed to find.  A certified supremum over the polytope is out of scope.
 
 from __future__ import annotations
 
+import heapq
 import marshal
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, floor, lcm
+from operator import add
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -566,6 +568,19 @@ def _beats(cand, best) -> bool:
     return num * bd > bn * den or (num * bd == bn * den and vecs < bv)
 
 
+_NOTHING = (None, {}, 0, 0, 0)  # the fold of no stream
+
+
+def _merge(a, b):
+    """The fold of two stream results (best, wins, feasible, evaluated,
+    corner_count): the best that _beats prefers, and every count summed.
+    _beats is a total order, so any grouping of the streams folds to the
+    same result."""
+    best = b[0] if b[0] is not None and _beats(b[0], a[0]) else a[0]
+    wins = {m: a[1].get(m, 0) + b[1].get(m, 0) for m in {**a[1], **b[1]}}
+    return best, wins, *map(add, a[2:], b[2:])
+
+
 def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
     """One search stream: corner starts (stream 0 only), `draws` sampling
     draws and `climbs` hill-climb moves from the stream's exact best.
@@ -657,10 +672,11 @@ def _worker_count(n: int) -> int:
 
 
 def _spawn(task, ks) -> tuple[int, int]:
-    """Fork a worker that runs task(k) for each k in ks and writes the list
-    of results, marshalled, to a pipe; returns (pid, read end).  The worker
-    leaves through os._exit, so it never flushes inherited stdio or runs
-    atexit hooks, and exits 1 on any error."""
+    """Fork a worker that runs task(k) for each k in ks, folds the results
+    by _merge as they finish and writes the one fold, marshalled, to a
+    pipe; returns (pid, read end).  The worker leaves through os._exit, so
+    it never flushes inherited stdio or runs atexit hooks, and exits 1 on
+    any error."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -672,7 +688,7 @@ def _spawn(task, ks) -> tuple[int, int]:
         code = 1
         try:
             os.close(rfd)
-            data = memoryview(marshal.dumps([task(k) for k in ks]))
+            data = memoryview(marshal.dumps(reduce(_merge, map(task, ks), _NOTHING)))
             while data:
                 data = data[os.write(wfd, data):]
             code = 0
@@ -682,9 +698,9 @@ def _spawn(task, ks) -> tuple[int, int]:
     return pid, rfd
 
 
-def _collect(pid: int, rfd: int, count: int):
-    """Read a worker's results to the end and reap it; None unless it
-    exited 0 and sent exactly `count` results."""
+def _collect(pid: int, rfd: int):
+    """Read a worker's fold to the end and reap it; None unless it exited 0
+    and sent a whole reply."""
     chunks = []
     while chunk := os.read(rfd, 1 << 16):
         chunks.append(chunk)
@@ -693,7 +709,7 @@ def _collect(pid: int, rfd: int, count: int):
         got = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError):  # a short or garbled reply
         return None
-    return got if status == 0 and len(got) == count else None
+    return got if status == 0 else None
 
 
 def _kill(kids: dict) -> None:
@@ -708,43 +724,45 @@ def _kill(kids: dict) -> None:
             pass  # reaped by a _collect that was interrupted
 
 
-_MISSING = object()  # a stream result slot that no process has filled
-
-
-def _run_streams(task, n: int) -> list:
-    """[task(k) for k in range(n)], spread over _worker_count(n) processes.
+def _run_streams(task, n: int):
+    """reduce(_merge, map(task, range(n)), _NOTHING), over _worker_count(n)
+    processes.
 
     This process runs streams 0, w, 2w, ...; forked worker j runs streams
-    j, j + w, ....  A worker that raises, dies, sends a short reply or
-    could not be forked leaves its streams without a result, and so does
+    j, j + w, ....  Each process folds its streams as they finish, so
+    memory does not grow with n.  A worker that raises, dies, sends a short
+    reply or could not be forked leaves its streams unfolded, and so does
     this process from its first stream that raises on.  The streams are
-    deterministic, so those left without a result are run here at the end,
-    in stream order, and an error surfaces as in a serial run: the first
-    failing stream's, with the same type and message.  If this process is
-    interrupted (KeyboardInterrupt included), every worker is killed and
-    reaped first.
+    deterministic, so those left unfolded (kept as ranges) are run here at
+    the end, in stream order, and an error surfaces as in a serial run: the
+    first failing stream's, with the same type and message.  If this
+    process is interrupted (KeyboardInterrupt included), every worker is
+    killed and reaped first.
     """
     w = _worker_count(n)
-    out = [_MISSING] * n
     kids: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
+    rerun = []  # ranges of streams left unfolded
     try:
         for j in range(1, w):
             try:
                 kids[j] = _spawn(task, range(j, n, w))
             except OSError:  # no process or pipe to spare: run them here
-                pass
+                rerun.append(range(j, n, w))
+        fold = _NOTHING
         for k in range(0, n, w):
             try:
-                out[k] = task(k)
+                fold = _merge(fold, task(k))
             except Exception:
+                rerun.append(range(k, n, w))
                 break
         for j in list(kids):
-            ks = range(j, n, w)
-            got = _collect(*kids[j], len(ks))
+            got = _collect(*kids[j])
             os.close(kids.pop(j)[1])
-            for k, res in zip(ks, got or ()):
-                out[k] = res
-        return [task(k) if r is _MISSING else r for k, r in enumerate(out)]
+            if got is None:
+                rerun.append(range(j, n, w))
+            else:
+                fold = _merge(fold, got)
+        return reduce(_merge, map(task, heapq.merge(*rerun)), fold)
     finally:
         _kill(kids)
 
@@ -771,8 +789,9 @@ def maximize_nu(
     shifts mass between two entries, never below zero, and a move that
     leaves the region is rejected, not repaired.  The streams
     that draw are spread over the usable cores (forked workers, see
-    _run_streams) and merged in stream order, so the result is
-    deterministic in (parameters, seed, streams) whatever the core count.
+    _run_streams) and folded, so the result is deterministic in
+    (parameters, seed, streams) whatever the core count, and memory does
+    not grow with the stream count.
     """
     dl, ep = F(delta), F(epsilon)
     if budget < 1:
@@ -781,10 +800,9 @@ def maximize_nu(
         raise ValueError("streams must be >= 1")
     method_names = resolve_methods(methods)
     win = _region(d, dl, ep, None)
-    best = maximum = argmax = None
-    wins: dict[str, int] = {}
-    feasible = samples = 0
+    maximum = argmax = None
     if isinstance(win, str):
+        best, wins, feasible, samples, _ = _NOTHING
         mix = {"draws": 0, "hill": 0, "corners": 0}
         note = f"{win}; nothing to search"
     else:
@@ -797,18 +815,10 @@ def maximize_nu(
             return _stream_task(win, d, seed, k, draws, climbs, method_names, dl)
 
         # streams k >= 1 draw budget // streams each; with none they find
-        # nothing, (None, {}, 0, 0, 0), so only the streams that draw run
-        mix = {"draws": budget, "hill": climbs_total, "corners": 0}
-        for sbest, swins, sfeas, seval, scorn in _run_streams(
-            task, streams if budget >= streams else 1
-        ):
-            feasible += sfeas
-            samples += seval
-            mix["corners"] += scorn
-            for m, v in swins.items():
-                wins[m] = wins.get(m, 0) + v
-            if sbest is not None and _beats(sbest, best):
-                best = sbest
+        # nothing, _NOTHING, so only the streams that draw run
+        best, wins, feasible, samples, corners = _run_streams(
+            task, streams if budget >= streams else 1)
+        mix = {"draws": budget, "hill": climbs_total, "corners": corners}
         note = (f"no feasible sample found at d={d}, delta={dl}, epsilon={ep}; "
                 "region empty or too thin for this sampler")
     if best is not None:

@@ -6,10 +6,14 @@ import hashlib
 import os
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abckit.region as region
 from abckit.bounds import (
@@ -23,9 +27,12 @@ from abckit.cases import TRIANGLE_VERTICES
 from abckit.region import (
     ROWS,
     RegionSearchReport,
+    _NOTHING,
     _config_with_s1s2,
     _hill_steps,
+    _merge,
     _randint,
+    _run_streams,
     _to_config,
     _vectors_feasible,
     _windows_for,
@@ -567,6 +574,76 @@ def test_search_stays_serial_with_a_thread_alive(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert serial == forked
+
+
+def _synthetic_stream(k: int):
+    """A marshallable stream result of _stream_task's shape, fixed by k; the
+    vecs name k, so no two streams tie on both value and vecs."""
+    rng = Random(k)
+    vecs = ((rng.randint(0, 2), k),)
+    best = None if k % 4 == 3 else (rng.randint(0, 9), rng.randint(1, 3), vecs)
+    return best, {f"m{k % 3}": 1 + k % 2}, k, 2 * k + 1, k % 2
+
+
+def test_run_streams_returns_the_serial_fold(monkeypatch):
+    n = 11
+    serial = reduce(_merge, map(_synthetic_stream, range(n)), _NOTHING)
+    assert serial[2:] == (55, 121, 5)
+    assert serial[1] == {"m0": 6, "m1": 6, "m2": 4}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(region, "_usable_cores", lambda: cores)
+        assert _run_streams(_synthetic_stream, n) == serial
+        _no_child_left()
+
+    # at w = 3 worker 2 runs streams 2, 5, 8 and exits 0 without a reply;
+    # worker 1 (streams 1, 4, 7, 10) replies
+    parent = os.getpid()
+
+    def task(k):
+        if os.getpid() != parent and k % 3 == 2:
+            os._exit(0)
+        return _synthetic_stream(k)
+
+    assert _run_streams(task, n) == serial
+    _no_child_left()
+
+
+_results = st.tuples(
+    st.none() | st.tuples(st.integers(-5, 5), st.integers(1, 4),
+                          st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    st.dictionaries(st.sampled_from(METHOD_NAMES), st.integers(1, 9), max_size=3),
+    st.integers(0, 99), st.integers(0, 99), st.integers(0, 99))
+
+
+def _by_value(result):
+    # (num, den) read as its value: equal vecs at one value may differ there
+    best, *rest = result
+    return (None if best is None else (F(*best[:2]), best[2]), *rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_results, max_size=12), st.data())
+def test_any_split_and_order_of_the_streams_folds_alike(results, data):
+    serial = reduce(_merge, results, _NOTHING)
+    order = data.draw(st.permutations(results))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(order)))))
+    groups = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(order)])]
+    folds = [reduce(_merge, g, _NOTHING) for g in groups]
+    folds = data.draw(st.permutations(folds))
+    assert _by_value(reduce(_merge, folds, _NOTHING)) == _by_value(serial)
+
+
+def test_stream_memory_does_not_grow_with_the_stream_count(monkeypatch):
+    # one process folds 500 streams; a list of their results would take
+    # about 1 KB each
+    monkeypatch.setattr(region, "_usable_cores", lambda: 1)
+    tracemalloc.start()
+    try:
+        maximize_nu(4, MILLI, MILLI, budget=500, seed=1, streams=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # --- one rule for both entry points ----------------------------------------------
