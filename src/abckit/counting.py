@@ -38,6 +38,8 @@ from .radicals import BudgetExceeded, build_radical_table, radical, radical_segm
 
 DEFAULT_BUDGET = 10**9
 
+SIEVE_BYTES_CAP = 1 << 27  # 128 MiB: radical-first's prime sieve, one byte per integer
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -442,17 +444,20 @@ def count_radical_bounded(
     """#{n <= x : rad(n) <= x**lam}, the radical-bounded integer count.
 
     The comparison is non-strict, and rad(n)**q <= x**p (lam = p/q) holds
-    exactly when rad(n) <= t = iroot(x**p, q).  Strategies: 'scan' sweeps
-    1..x through the sieve's blocks (radicals.radical_segments), testing
-    every entry against t, whose bracket t**q <= x**p < (t + 1)**q it
-    checks itself; it holds one block, never the table, so its memory is
+    exactly when rad(n) <= t = iroot(x**p, q).  Both strategies read the
+    one threshold t, computed once, whose bracket t**q <= x**p < (t + 1)**q
+    is checked before either runs.  Strategies: 'scan' sweeps 1..x through
+    the sieve's blocks (radicals.radical_segments), testing every entry
+    against t; it holds one block, never the table, so its memory is
     O(sqrt(x)) words plus one block.  'radical-first' walks the squarefree
     r <= t depth first, as products of ascending primes, which it reads
     from an Eratosthenes sieve of its own, t + 1 bytes (one per integer
     <= t).  At each r it counts the n <= x of radical exactly r, n = r * m
     with m built from the primes of r, spreading the exponents over the
-    largest prime first.  Its budget (t + x) is checked before the sieve
-    is built.  The sieve is not radicals.primes_to: the strategies share
+    largest prime first.  Before the sieve is built, its budget (t + x) is
+    checked, and a sieve of more than SIEVE_BYTES_CAP bytes is refused with
+    BudgetExceeded; like exact.POWER_BITS_CAP, the cap is a constant, never
+    a budget.  The sieve is not radicals.primes_to: the strategies share
     no plumbing, so 'scan' (whose radical_segments reads primes_to) stays
     a cross-check, and t bytes are smaller than a cached tuple of the
     primes up to t.
@@ -467,18 +472,20 @@ def count_radical_bounded(
     if strategy not in ("scan", "radical-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
     p, q = _saturated(lam, x, 1, "count_radical_bounded").as_integer_ratio()
+    # r**q <= x**p  <=>  r <= t, for the one integer t checked here
+    xp = x**p
+    t = iroot(xp, q)
+    if not t**q <= xp < (t + 1) ** q:
+        raise ArithmeticError(f"iroot({xp}, {q}) returned {t}")
     if strategy == "scan":
         check_budget("count_radical_bounded", x, budget)
-        # r**q <= x**p  <=>  r <= t, for the one integer t checked here
-        xp = x**p
-        t = iroot(xp, q)
-        if not t**q <= xp < (t + 1) ** q:
-            raise ArithmeticError(f"iroot({xp}, {q}) returned {t}")
         count = sum(sum(map(t.__ge__, block)) for _, block in radical_segments(x))
     else:
-        # largest integer r with r^q <= x^p
-        t = iroot(x**p, q)
         check_budget("count_radical_bounded", t + x, budget)
+        if t + 1 > SIEVE_BYTES_CAP:
+            raise BudgetExceeded("count_radical_bounded", t + 1, SIEVE_BYTES_CAP,
+                                 f"a sieve of {t + 1} bytes exceeds the cap "
+                                 f"{SIEVE_BYTES_CAP}")
         sieve = bytearray([1]) * (t + 1)  # sieve[n]: n is prime; t >= 1
         sieve[:2] = bytes(2)
         for n in range(2, isqrt(t) + 1):

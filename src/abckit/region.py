@@ -27,7 +27,6 @@ managed to find.  A certified supremum over the polytope is out of scope.
 
 from __future__ import annotations
 
-import heapq
 import marshal
 import os
 import sys
@@ -385,25 +384,19 @@ def _config_with_s1s2(win: _Windows, d: int, s1u: int, s2u: int, bits):
 
 def _corner_triples(win: _Windows, d: int, delta: Fraction, bits):
     """Deterministic boundary-hugging starts: triangle-T vertices, the
-    s1 + s2 capacity boundary, and third-class mass near 0.32."""
+    s1 + s2 capacity boundary, and third-class mass near 0.32.  A class-sum
+    target is tried only where both of its sums lie on the lattice."""
     out = []
     scale = win.scale
-    targets = []
-    for s1, s2 in TRIANGLE_VERTICES:
-        s1u, s2u = s1 * scale, s2 * scale
-        if s1u.denominator == 1 and s2u.denominator == 1:
-            targets.append((s1u.numerator, s2u.numerator))
+    # on the capacity boundary s2 = cap - s1 > 0: cap >= 17/50 > s1
     cap = S12_CAP + delta
-    capu = cap * scale
-    if capu.denominator == 1:
-        for s1_frac in (F(1, 40), F(49, 800), F(1, 10)):
-            s1u = s1_frac * scale
-            if s1u.denominator == 1 and s1u.numerator < capu.numerator:
-                targets.append((s1u.numerator, capu.numerator - s1u.numerator))
-    for s1u, s2u in targets:
-        trip = _config_with_s1s2(win, d, s1u, s2u, bits)
-        if trip is not None:
-            out.append(trip)
+    on_cap = ((s1, cap - s1) for s1 in (F(1, 40), F(49, 800), F(1, 10)))
+    for s1, s2 in (*TRIANGLE_VERTICES, *on_cap):
+        s1u, s2u = s1 * scale, s2 * scale
+        if s1u.denominator == s2u.denominator == 1:
+            trip = _config_with_s1s2(win, d, s1u.numerator, s2u.numerator, bits)
+            if trip is not None:
+                out.append(trip)
     # a_3 pinned at 0.32, the S1/S2 hinge, unless 0.32 lies above the C4
     # totals window (epsilon > 0.04 + 2 delta)
     a3 = A3_HINGE * scale
@@ -623,20 +616,17 @@ def _stream_task(win, d, seed, stream, draws, climbs, methods, delta):
                     break
                 used += 1
                 vecs = best[2]
-                move = _randint(bits, 0, 1)
-                lv = [list(v) for v in vecs]
-                if move == 0:  # mass between classes inside one vector
-                    vi = _randint(bits, 0, 2)
+                # shift up to step from entry (a, i) to entry (b, j)
+                if _randint(bits, 0, 1) == 0:  # between classes of one vector
+                    a = b = _randint(bits, 0, 2)
                     i, j = _randint(bits, 0, d - 1), _randint(bits, 0, d - 1)
-                    m = min(step, lv[vi][i])
-                    lv[vi][i] -= m
-                    lv[vi][j] += m
-                else:  # mass between vectors at one class
-                    ui, vi = _randint(bits, 0, 2), _randint(bits, 0, 2)
-                    i = _randint(bits, 0, d - 1)
-                    m = min(step, lv[ui][i])
-                    lv[ui][i] -= m
-                    lv[vi][i] += m
+                else:  # between vectors at one class
+                    a, b = _randint(bits, 0, 2), _randint(bits, 0, 2)
+                    i = j = _randint(bits, 0, d - 1)
+                lv = [list(v) for v in vecs]
+                m = min(step, lv[a][i])
+                lv[a][i] -= m
+                lv[b][j] += m
                 cand = tuple(tuple(v) for v in lv)
                 if cand == vecs or not _vectors_feasible(win, cand):
                     continue
@@ -728,43 +718,39 @@ def _run_streams(task, n: int):
     """reduce(_merge, map(task, range(n)), _NOTHING), over _worker_count(n)
     processes.
 
-    This process runs streams 0, w, 2w, ...; forked worker j runs streams
-    j, j + w, ....  Each process folds its streams as they finish, so
-    memory does not grow with n.  A worker that raises, dies, sends a short
-    reply or could not be forked leaves its streams unfolded, and so does
-    this process from its first stream that raises on.  The streams are
-    deterministic, so those left unfolded (kept as ranges) are run here at
-    the end, in stream order, and an error surfaces as in a serial run: the
-    first failing stream's, with the same type and message.  If this
-    process is interrupted (KeyboardInterrupt included), every worker is
-    killed and reaped first.
+    This process forks the workers, then folds streams 0, w, 2w, ...;
+    forked worker j folds streams j, j + w, ....  Each process folds its
+    streams as they finish, so memory does not grow with n.  Then this
+    process merges each worker's fold.
+
+    One rule covers every failure: a fork or pipe that fails (OSError), a
+    stream of this process that raises, a worker that raises, dies or
+    sends a short reply.  Every worker is killed and reaped, and all n
+    streams run here, in stream order (this process's own a second time).
+    The streams are deterministic, so the result is unchanged, and an
+    error surfaces as in a serial run: the first failing stream's, with the
+    same type and message.  If this process is interrupted
+    (KeyboardInterrupt included), every worker is killed and reaped first.
     """
     w = _worker_count(n)
     kids: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
-    rerun = []  # ranges of streams left unfolded
     try:
         for j in range(1, w):
-            try:
-                kids[j] = _spawn(task, range(j, n, w))
-            except OSError:  # no process or pipe to spare: run them here
-                rerun.append(range(j, n, w))
-        fold = _NOTHING
-        for k in range(0, n, w):
-            try:
-                fold = _merge(fold, task(k))
-            except Exception:
-                rerun.append(range(k, n, w))
-                break
+            kids[j] = _spawn(task, range(j, n, w))
+        fold = reduce(_merge, map(task, range(0, n, w)), _NOTHING)
         for j in list(kids):
             got = _collect(*kids[j])
             os.close(kids.pop(j)[1])
             if got is None:
-                rerun.append(range(j, n, w))
-            else:
-                fold = _merge(fold, got)
-        return reduce(_merge, map(task, heapq.merge(*rerun)), fold)
+                break
+            fold = _merge(fold, got)
+        else:
+            return fold
+    except Exception:
+        pass  # run every stream here, below
     finally:
         _kill(kids)
+    return reduce(_merge, map(task, range(n)), _NOTHING)
 
 
 def maximize_nu(

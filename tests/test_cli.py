@@ -159,7 +159,7 @@ _NEAR_1 = "999999999999/1000000000000"
 
 
 # Left out: `count nlambda --x 100000000 --strategy ab` still allocates about
-# 1.2 GB over two minutes before its budget refusal (ROADMAP item 7).
+# 1.2 GB over two minutes before its budget refusal (ROADMAP item 10).
 @pytest.mark.parametrize("argv, code, outcome", [
     (("verify", "region", "--d", "6", "--delta", "4/25", "--epsilon", "2/5",
       "--samples", "200"), 0, "ok"),
@@ -173,6 +173,8 @@ _NEAR_1 = "999999999999/1000000000000"
                                 "Y": ["2"], "Z": ["4"]}), 2, "budget-exceeded"),
     (("count", "nlambda", "--x", "20", "--lambda", _NEAR_1), 2, "budget-exceeded"),
     (("count", "debruijn", "--x", "10", "--lambda", _NEAR_1), 2, "budget-exceeded"),
+    (("count", "debruijn", "--x", "500000000", "--lambda", "1", "--strategy",
+      "radical-first"), 2, "budget-exceeded"),
     (("count", "s", "--x", "20", "--alpha", _NEAR_1, "--beta", "1", "--gamma",
       "1", "--star"), 2, "budget-exceeded"),
     (("count", "s", "--x", _HUGE, "--alpha", "1", "--beta", "1", "--gamma",
@@ -181,8 +183,8 @@ _NEAR_1 = "999999999999/1000000000000"
       "--epsilon", _NEAR_1), 2, "budget-exceeded"),
     (("factorize", str(2**89 - 1)), 2, "budget-exceeded"),
 ], ids=["region-hinge", "region-c2-empty", "ternary-exponent", "bd-A",
-        "bd-anchor", "nlambda", "debruijn", "s-star", "s-huge-x",
-        "reduce-triple", "factorize-2^89-1"])
+        "bd-anchor", "nlambda", "debruijn", "debruijn-sieve", "s-star",
+        "s-huge-x", "reduce-triple", "factorize-2^89-1"])
 def test_cli_fuzz_answers_or_refuses_within_budget(tmp_path, argv, code, outcome):
     # each input answers or is refused in a child capped at 512 MB and 10 s:
     # one JSON document on stdout (an error object on exit 2), no traceback

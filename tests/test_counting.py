@@ -8,8 +8,10 @@ from math import gcd
 
 import pytest
 
+import abckit.counting as counting
 from abckit.counting import (
     DEFAULT_BUDGET,
+    SIEVE_BYTES_CAP,
     BoxSpec,
     BudgetExceeded,
     CountResult,
@@ -297,6 +299,33 @@ def test_radical_bounded_scan_holds_no_table():
         tracemalloc.stop()
     # 18452 is also what 'radical-first' counts
     assert result.count == 18452
+    assert peak < 10**6
+
+
+def test_radical_first_sieve_is_capped_before_it_is_built(monkeypatch):
+    # the cap is a constant, not a budget: at lam = 1/2 and x = 100^2 the
+    # sieve takes t + 1 = 101 bytes, exactly the patched cap, and answers;
+    # at x = 101^2 one byte more is refused before the sieve exists
+    monkeypatch.setattr(counting, "SIEVE_BYTES_CAP", 101)
+    at_cap = count_radical_bounded(100**2, F(1, 2), strategy="radical-first")
+    assert at_cap.count == count_radical_bounded(100**2, F(1, 2)).count
+    with pytest.raises(BudgetExceeded) as info:
+        count_radical_bounded(101**2, F(1, 2), strategy="radical-first")
+    assert (info.value.operation, info.value.estimate, info.value.budget) == (
+        "count_radical_bounded", 102, 101)
+    assert str(info.value) == (
+        "count_radical_bounded: a sieve of 102 bytes exceeds the cap 101")
+    # at the real cap (128 MiB) the refusal allocates nothing of that size
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            count_radical_bounded(SIEVE_BYTES_CAP, F(1), strategy="radical-first")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.estimate, info.value.budget) == (
+        SIEVE_BYTES_CAP + 1, SIEVE_BYTES_CAP)
     assert peak < 10**6
 
 

@@ -536,6 +536,26 @@ def test_lost_worker_streams_run_here(monkeypatch, breakage):
     _no_child_left()
 
 
+def test_second_fork_failing_kills_the_first_worker(monkeypatch):
+    # at 3 cores worker 1 is forked and worker 2's fork fails: worker 1 is
+    # killed and reaped, and every stream runs here
+    monkeypatch.setattr(region, "_usable_cores", lambda: 1)
+    serial = maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=5)
+    forks = _count_forks(monkeypatch)
+    counted = os.fork
+
+    def fork():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(region, "_usable_cores", lambda: 3)
+    assert maximize_nu(6, MILLI, MILLI, budget=400, seed=2, streams=5) == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
 def test_interrupt_kills_the_workers(monkeypatch):
     # the workers' streams would take a minute; the parent's first stream
     # is interrupted at once, and every worker must be killed and reaped
